@@ -3,6 +3,8 @@
 // logic simulation, CNF encoding and SAT solving.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "attack/oracle.hpp"
 #include "camo/cell_library.hpp"
 #include "camo/protect.hpp"
@@ -151,6 +153,33 @@ void BM_SatSolveMiter(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_SatSolveMiter)->Unit(benchmark::kMillisecond);
+
+void BM_PropagateMiter(benchmark::State& state) {
+    // Propagation throughput on the BM_SatSolveMiter instance: only the
+    // solve is timed (encoding and teardown run paused or after the loop),
+    // and the rate counter is the solve's propagations per second. It is
+    // the kernel-level view of the end-to-end benchmark's per-layer
+    // sat.props_per_s. Recorded only; no gate.
+    const auto nl = netlist::build_benchmark("c7552");
+    const auto sel = camo::select_gates(nl, 0.10, 1);
+    const auto prot = camo::apply_camouflage(nl, sel, camo::gshe16(), 1);
+    std::optional<sat::Solver> solver;
+    double propagations = 0.0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        solver.emplace();
+        const auto e1 = sat::encode_circuit(*solver, prot.netlist);
+        const auto e2 = sat::encode_circuit(*solver, prot.netlist, e1.pis);
+        sat::add_difference(*solver, e1.outs, e2.outs);
+        const auto before = solver->stats().propagations;
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(solver->solve());
+        propagations += static_cast<double>(solver->stats().propagations - before);
+    }
+    state.counters["props_per_s"] =
+        benchmark::Counter(propagations, benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_PropagateMiter)->Unit(benchmark::kMillisecond);
 
 void BM_StaAnalyze(benchmark::State& state) {
     const auto nl = netlist::build_benchmark("sb18");

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <iterator>
 #include <map>
+#include <stdexcept>
 
 namespace gshe::sat {
 
@@ -14,8 +16,9 @@ const std::string& Solver::backend_name() const {
 }
 
 Var Solver::new_var() {
-    const Var v = static_cast<Var>(assign_.size());
-    assign_.push_back(LBool::Undef);
+    const Var v = static_cast<Var>(level_.size());
+    values_.push_back(LBool::Undef);
+    values_.push_back(LBool::Undef);
     reason_.push_back(kNoReason);
     level_.push_back(0);
     activity_.push_back(0.0);
@@ -88,34 +91,71 @@ bool Solver::add_simplified(Clause c, bool learnt, std::int32_t lbd,
         }
         return true;
     }
-    const ClauseRef cref = alloc_clause(std::move(simplified), learnt);
-    if (learnt) {
-        clauses_[cref].lbd = lbd > 0 ? lbd : 1;
-        learnts_.push_back(cref);
-    }
+    const ClauseRef cref = alloc_clause(simplified, learnt, lbd > 0 ? lbd : 1);
+    if (learnt) learnts_.push_back(cref);
     attach(cref);
     if (out != nullptr) *out = cref;
     return true;
 }
 
-Solver::ClauseRef Solver::alloc_clause(Clause lits, bool learnt) {
-    ClauseData cd;
-    cd.lits = std::move(lits);
-    cd.learnt = learnt;
-    clauses_.push_back(std::move(cd));
-    return static_cast<ClauseRef>(clauses_.size() - 1);
+// ---- clause arena -----------------------------------------------------------
+
+Solver::ClauseRef Solver::alloc_clause(const Clause& lits, bool learnt,
+                                       std::int32_t lbd) {
+    const std::size_t words = 1 + lits.size() + (learnt ? kLearntTrailer : 0);
+    if (lits.size() > kSizeMask || arena_.size() + words > kNoReason)
+        throw std::length_error("sat::Solver: clause arena exceeds 2^32-1 words");
+    const auto cref = static_cast<ClauseRef>(arena_.size());
+    arena_.push_back(static_cast<std::uint32_t>(lits.size()) |
+                     (learnt ? kLearntBit : 0));
+    for (Lit l : lits) arena_.push_back(static_cast<std::uint32_t>(l.code()));
+    if (learnt) {
+        arena_.push_back(static_cast<std::uint32_t>(lbd));
+        arena_.resize(arena_.size() + 2);
+        set_clause_activity(cref, 0.0);
+    }
+    ++clause_slots_;
+    return cref;
+}
+
+void Solver::shrink_clause(ClauseRef cr, const Clause& kept) {
+    const std::uint32_t old_size = clause_size(cr);
+    const auto new_size = static_cast<std::uint32_t>(kept.size());
+    for (std::uint32_t i = 0; i < new_size; ++i)
+        arena_[cr + 1 + i] = static_cast<std::uint32_t>(kept[i].code());
+    arena_[cr] = (arena_[cr] & ~kSizeMask) | new_size;
+    // The freed words become one deleted pseudo-clause (a header whose size
+    // covers the rest). It is not a tombstone: num_clauses() and maybe_gc()
+    // never count it, and the next garbage_collect drops it.
+    if (new_size < old_size)
+        arena_[cr + 1 + new_size] = kDeletedBit | (old_size - new_size - 1);
+}
+
+Clause Solver::clause_lits(ClauseRef cr) const {
+    Clause c(clause_size(cr));
+    for (std::uint32_t i = 0; i < c.size(); ++i) c[i] = clause_lit(cr, i);
+    return c;
+}
+
+double Solver::clause_activity(ClauseRef cr) const {
+    double a;
+    std::memcpy(&a, &arena_[cr + 2 + clause_size(cr)], sizeof a);
+    return a;
+}
+
+void Solver::set_clause_activity(ClauseRef cr, double a) {
+    std::memcpy(&arena_[cr + 2 + clause_size(cr)], &a, sizeof a);
 }
 
 void Solver::attach(ClauseRef cref) {
-    const auto& lits = clauses_[cref].lits;
-    watches_[static_cast<std::size_t>((~lits[0]).code())].push_back({cref, lits[1]});
-    watches_[static_cast<std::size_t>((~lits[1]).code())].push_back({cref, lits[0]});
+    const Lit l0 = clause_lit(cref, 0), l1 = clause_lit(cref, 1);
+    watches_[static_cast<std::size_t>((~l0).code())].push_back({cref, l1});
+    watches_[static_cast<std::size_t>((~l1).code())].push_back({cref, l0});
 }
 
 void Solver::detach(ClauseRef cref) {
-    const auto& lits = clauses_[cref].lits;
-    for (int i = 0; i < 2; ++i) {
-        auto& ws = watches_[static_cast<std::size_t>((~lits[i]).code())];
+    for (std::uint32_t i = 0; i < 2; ++i) {
+        auto& ws = watches_[static_cast<std::size_t>((~clause_lit(cref, i)).code())];
         for (std::size_t j = 0; j < ws.size(); ++j)
             if (ws[j].cref == cref) {
                 ws[j] = ws.back();
@@ -125,61 +165,58 @@ void Solver::detach(ClauseRef cref) {
     }
 }
 
-void Solver::enqueue(Lit l, ClauseRef reason) {
-    const auto v = static_cast<std::size_t>(l.var());
-    assign_[v] = l.negated() ? LBool::False : LBool::True;
-    reason_[v] = reason;
-    level_[v] = current_level();
-    trail_.push_back(l);
-}
-
 Solver::ClauseRef Solver::propagate() {
     while (qhead_ < trail_.size()) {
         const Lit p = trail_[qhead_++];
         ++stats_.propagations;
+        const auto not_p = static_cast<std::uint32_t>((~p).code());
         auto& ws = watches_[static_cast<std::size_t>(p.code())];
-        std::size_t keep = 0;
-        for (std::size_t i = 0; i < ws.size(); ++i) {
-            const Watcher w = ws[i];
+        Watcher* i = ws.data();
+        Watcher* keep = i;
+        Watcher* const end = i + ws.size();
+        while (i != end) {
+            const Watcher w = *i++;
             // Fast path: blocker already true.
             if (value(w.blocker) == LBool::True) {
-                ws[keep++] = w;
+                *keep++ = w;
                 continue;
             }
-            ClauseData& c = clauses_[w.cref];
-            auto& lits = c.lits;
+            std::uint32_t* const header = arena_.data() + w.cref;
+            std::uint32_t* const lits = header + 1;
             // Normalize: false watched literal at position 1.
-            const Lit not_p = ~p;
             if (lits[0] == not_p) std::swap(lits[0], lits[1]);
-            // lits[1] == not_p now.
-            if (value(lits[0]) == LBool::True) {
-                ws[keep++] = {w.cref, lits[0]};
+            const Lit first = Lit::from_code(static_cast<std::int32_t>(lits[0]));
+            if (value(first) == LBool::True) {
+                *keep++ = {w.cref, first};
                 continue;
             }
             // Find a new watch.
+            const std::uint32_t size = *header & kSizeMask;
             bool found = false;
-            for (std::size_t k = 2; k < lits.size(); ++k) {
-                if (value(lits[k]) != LBool::False) {
-                    std::swap(lits[1], lits[k]);
-                    watches_[static_cast<std::size_t>((~lits[1]).code())].push_back(
-                        {w.cref, lits[0]});
+            for (std::uint32_t k = 2; k < size; ++k) {
+                const Lit q = Lit::from_code(static_cast<std::int32_t>(lits[k]));
+                if (value(q) != LBool::False) {
+                    lits[k] = lits[1];
+                    lits[1] = static_cast<std::uint32_t>(q.code());
+                    watches_[static_cast<std::size_t>((~q).code())].push_back(
+                        {w.cref, first});
                     found = true;
                     break;
                 }
             }
             if (found) continue;  // watcher moved; do not keep here
             // Clause is unit or conflicting.
-            ws[keep++] = {w.cref, lits[0]};
-            if (value(lits[0]) == LBool::False) {
+            *keep++ = {w.cref, first};
+            if (value(first) == LBool::False) {
                 // Conflict: restore untouched watchers and bail out.
-                for (std::size_t k = i + 1; k < ws.size(); ++k) ws[keep++] = ws[k];
-                ws.resize(keep);
+                while (i != end) *keep++ = *i++;
+                ws.resize(static_cast<std::size_t>(keep - ws.data()));
                 qhead_ = trail_.size();
                 return w.cref;
             }
-            enqueue(lits[0], w.cref);
+            enqueue(first, w.cref);
         }
-        ws.resize(keep);
+        ws.resize(static_cast<std::size_t>(keep - ws.data()));
     }
     return kNoReason;
 }
@@ -191,8 +228,9 @@ void Solver::backtrack_to(int target_level) {
         const Var v = trail_[static_cast<std::size_t>(i)].var();
         const auto vi = static_cast<std::size_t>(v);
         if (opts_.use_phase_saving)
-            polarity_[vi] = assign_[vi] == LBool::True ? 1 : 0;
-        assign_[vi] = LBool::Undef;
+            polarity_[vi] = value(v) == LBool::True ? 1 : 0;
+        values_[2 * vi] = LBool::Undef;
+        values_[2 * vi + 1] = LBool::Undef;
         reason_[vi] = kNoReason;
         if (!heap_contains(v)) heap_insert(v);
     }
@@ -210,8 +248,8 @@ std::int32_t Solver::compute_lbd(const Clause& c) {
     // Indexed by level_of(), which for the (currently unassigned) asserting
     // literal is its pre-backtrack level — so size by the level ceiling, the
     // variable count, not the current trail depth.
-    if (level_stamp_.size() <= assign_.size())
-        level_stamp_.resize(assign_.size() + 1, 0);
+    const auto nv = static_cast<std::size_t>(num_vars());
+    if (level_stamp_.size() <= nv) level_stamp_.resize(nv + 1, 0);
     std::int32_t lbd = 0;
     for (Lit l : c) {
         const int lv = level_of(l.var());
@@ -236,10 +274,10 @@ void Solver::analyze(ClauseRef conflict, Clause& learnt, int& backtrack_level) {
 
     // First-UIP resolution walk over the trail.
     do {
-        ClauseData& c = clauses_[reason];
-        if (c.learnt) bump_clause(c);
-        for (std::size_t j = (p == kUndefLit ? 0 : 1); j < c.lits.size(); ++j) {
-            const Lit q = c.lits[j];
+        if (clause_learnt(reason)) bump_clause(reason);
+        const std::uint32_t size = clause_size(reason);
+        for (std::uint32_t j = (p == kUndefLit ? 0 : 1); j < size; ++j) {
+            const Lit q = clause_lit(reason, j);
             const auto qv = static_cast<std::size_t>(q.var());
             if (seen_[qv] || level_of(q.var()) == 0) continue;
             seen_[qv] = 1;
@@ -295,9 +333,9 @@ bool Solver::literal_redundant(Lit l, std::uint32_t abstract_levels) {
         const auto cv = static_cast<std::size_t>(cur.var());
         const ClauseRef r = reason_[cv];
         if (r == kNoReason) continue;  // decision reached: handled by caller guard
-        const ClauseData& c = clauses_[r];
-        for (std::size_t j = 1; j < c.lits.size(); ++j) {
-            const Lit q = c.lits[j];
+        const std::uint32_t size = clause_size(r);
+        for (std::uint32_t j = 1; j < size; ++j) {
+            const Lit q = clause_lit(r, j);
             const auto qv = static_cast<std::size_t>(q.var());
             if (seen_[qv] || level_of(q.var()) == 0) continue;
             if (reason_[qv] == kNoReason ||
@@ -321,15 +359,21 @@ void Solver::bump_var(Var v) {
     activity_[vi] += var_inc_;
     if (activity_[vi] > 1e100) {
         for (double& a : activity_) a *= 1e-100;
+        for (HeapEntry& e : heap_) e.activity *= 1e-100;
         var_inc_ *= 1e-100;
     }
-    if (heap_contains(v)) heap_up(heap_pos_[vi]);
+    if (heap_contains(v)) {
+        const int i = heap_pos_[vi];
+        heap_[static_cast<std::size_t>(i)].activity = activity_[vi];
+        heap_up(i);
+    }
 }
 
-void Solver::bump_clause(ClauseData& c) {
-    c.activity += cla_inc_;
-    if (c.activity > 1e20) {
-        for (ClauseRef cr : learnts_) clauses_[cr].activity *= 1e-20;
+void Solver::bump_clause(ClauseRef cr) {
+    const double a = clause_activity(cr) + cla_inc_;
+    set_clause_activity(cr, a);
+    if (a > 1e20) {
+        for (ClauseRef l : learnts_) set_clause_activity(l, clause_activity(l) * 1e-20);
         cla_inc_ *= 1e-20;
     }
 }
@@ -337,55 +381,53 @@ void Solver::bump_clause(ClauseData& c) {
 // ---- decision heap ---------------------------------------------------------
 
 void Solver::heap_insert(Var v) {
-    heap_pos_[static_cast<std::size_t>(v)] = static_cast<int>(heap_.size());
-    heap_.push_back(v);
+    const auto vi = static_cast<std::size_t>(v);
+    heap_pos_[vi] = static_cast<int>(heap_.size());
+    heap_.push_back({activity_[vi], v});
     heap_up(static_cast<int>(heap_.size()) - 1);
 }
 
 void Solver::heap_up(int i) {
-    const Var v = heap_[static_cast<std::size_t>(i)];
-    const double act = activity_[static_cast<std::size_t>(v)];
+    const HeapEntry e = heap_[static_cast<std::size_t>(i)];
     while (i > 0) {
         const int parent = (i - 1) / 2;
-        const Var pv = heap_[static_cast<std::size_t>(parent)];
-        if (activity_[static_cast<std::size_t>(pv)] >= act) break;
-        heap_[static_cast<std::size_t>(i)] = pv;
-        heap_pos_[static_cast<std::size_t>(pv)] = i;
+        const HeapEntry& pe = heap_[static_cast<std::size_t>(parent)];
+        if (pe.activity >= e.activity) break;
+        heap_[static_cast<std::size_t>(i)] = pe;
+        heap_pos_[static_cast<std::size_t>(pe.var)] = i;
         i = parent;
     }
-    heap_[static_cast<std::size_t>(i)] = v;
-    heap_pos_[static_cast<std::size_t>(v)] = i;
+    heap_[static_cast<std::size_t>(i)] = e;
+    heap_pos_[static_cast<std::size_t>(e.var)] = i;
 }
 
 void Solver::heap_down(int i) {
-    const Var v = heap_[static_cast<std::size_t>(i)];
-    const double act = activity_[static_cast<std::size_t>(v)];
+    const HeapEntry e = heap_[static_cast<std::size_t>(i)];
     const int n = static_cast<int>(heap_.size());
     while (true) {
         int child = 2 * i + 1;
         if (child >= n) break;
-        if (child + 1 < n &&
-            activity_[static_cast<std::size_t>(heap_[static_cast<std::size_t>(child + 1)])] >
-                activity_[static_cast<std::size_t>(heap_[static_cast<std::size_t>(child)])])
+        if (child + 1 < n && heap_[static_cast<std::size_t>(child + 1)].activity >
+                                 heap_[static_cast<std::size_t>(child)].activity)
             ++child;
-        const Var cv = heap_[static_cast<std::size_t>(child)];
-        if (act >= activity_[static_cast<std::size_t>(cv)]) break;
-        heap_[static_cast<std::size_t>(i)] = cv;
-        heap_pos_[static_cast<std::size_t>(cv)] = i;
+        const HeapEntry& ce = heap_[static_cast<std::size_t>(child)];
+        if (e.activity >= ce.activity) break;
+        heap_[static_cast<std::size_t>(i)] = ce;
+        heap_pos_[static_cast<std::size_t>(ce.var)] = i;
         i = child;
     }
-    heap_[static_cast<std::size_t>(i)] = v;
-    heap_pos_[static_cast<std::size_t>(v)] = i;
+    heap_[static_cast<std::size_t>(i)] = e;
+    heap_pos_[static_cast<std::size_t>(e.var)] = i;
 }
 
 Var Solver::heap_pop() {
-    const Var v = heap_[0];
+    const Var v = heap_[0].var;
     heap_pos_[static_cast<std::size_t>(v)] = -1;
-    const Var last = heap_.back();
+    const HeapEntry last = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) {
         heap_[0] = last;
-        heap_pos_[static_cast<std::size_t>(last)] = 0;
+        heap_pos_[static_cast<std::size_t>(last.var)] = 0;
         heap_down(0);
     }
     return v;
@@ -399,7 +441,7 @@ Lit Solver::pick_branch_lit() {
     // off, so default-configured solvers stay bit-identical.
     if (opts_.random_branch_freq > 0.0 && opts_.use_vsids && !heap_.empty() &&
         rng_.bernoulli(opts_.random_branch_freq)) {
-        const Var cand = heap_[rng_.below(heap_.size())];
+        const Var cand = heap_[rng_.below(heap_.size())].var;
         if (value(cand) == LBool::Undef &&
             eliminated_[static_cast<std::size_t>(cand)] == 0)
             v = cand;
@@ -432,10 +474,9 @@ Lit Solver::pick_branch_lit() {
 // ---- learnt DB reduction ----------------------------------------------------
 
 bool Solver::clause_locked(ClauseRef cref) const {
-    const auto& lits = clauses_[cref].lits;
-    const Var v = lits[0].var();
-    return value(lits[0]) == LBool::True &&
-           reason_[static_cast<std::size_t>(v)] == cref;
+    const Lit first = clause_lit(cref, 0);
+    return value(first) == LBool::True &&
+           reason_[static_cast<std::size_t>(first.var())] == cref;
 }
 
 void Solver::reduce_learnt_db() {
@@ -443,68 +484,81 @@ void Solver::reduce_learnt_db() {
     // the rest.
     std::vector<ClauseRef> candidates;
     for (ClauseRef cr : learnts_)
-        if (!clauses_[cr].deleted && clauses_[cr].lbd > opts_.glue_keep_lbd &&
+        if (!clause_deleted(cr) && clause_lbd(cr) > opts_.glue_keep_lbd &&
             !clause_locked(cr))
             candidates.push_back(cr);
     std::sort(candidates.begin(), candidates.end(),
               [&](ClauseRef a, ClauseRef b) {
-                  return clauses_[a].activity < clauses_[b].activity;
+                  return clause_activity(a) < clause_activity(b);
               });
     const std::size_t remove = candidates.size() / 2;
     for (std::size_t i = 0; i < remove; ++i) delete_clause(candidates[i]);
     learnts_.erase(std::remove_if(learnts_.begin(), learnts_.end(),
-                                  [&](ClauseRef cr) { return clauses_[cr].deleted; }),
+                                  [&](ClauseRef cr) { return clause_deleted(cr); }),
                    learnts_.end());
 }
 
-// ---- clause arena -----------------------------------------------------------
+// ---- clause deletion and compaction ------------------------------------------
 
 void Solver::delete_clause(ClauseRef cref) {
-    ClauseData& c = clauses_[cref];
-    if (c.deleted) return;
+    if (clause_deleted(cref)) return;
     detach(cref);
-    c.deleted = true;
-    c.lits.clear();
-    c.lits.shrink_to_fit();
-    ++free_list_guard_;
+    arena_[cref] |= kDeletedBit;
+    ++tombstones_;
     ++stats_.removed_clauses;
 }
 
 void Solver::garbage_collect() {
-    if (free_list_guard_ == 0) return;
+    if (tombstones_ == 0) return;
     // The inprocessing passes tombstone learnts without touching learnts_
     // bookkeeping; purge those entries before remapping.
     learnts_.erase(std::remove_if(learnts_.begin(), learnts_.end(),
-                                  [&](ClauseRef cr) { return clauses_[cr].deleted; }),
+                                  [&](ClauseRef cr) { return clause_deleted(cr); }),
                    learnts_.end());
     // Compact the arena in place (order-preserving, so watcher traversal and
     // reduce candidate order — and with them the search trajectory — are
-    // unchanged), then rewrite every stored ClauseRef through the remap.
-    std::vector<ClauseRef> remap(clauses_.size(), kNoReason);
+    // unchanged), then rewrite every stored ClauseRef. The live clauses'
+    // old offsets come out sorted, so a binary search maps old to new.
+    std::vector<ClauseRef> old_refs, new_refs;
     std::size_t out = 0;
-    for (std::size_t i = 0; i < clauses_.size(); ++i) {
-        if (clauses_[i].deleted) continue;
-        remap[i] = static_cast<ClauseRef>(out);
-        if (out != i) clauses_[out] = std::move(clauses_[i]);
-        ++out;
+    for (std::size_t cr = 0; cr < arena_.size();) {
+        const auto ref = static_cast<ClauseRef>(cr);
+        const std::uint32_t words = clause_words(ref);
+        if (!clause_deleted(ref)) {
+            old_refs.push_back(ref);
+            new_refs.push_back(static_cast<ClauseRef>(out));
+            if (out != cr)
+                std::copy(arena_.begin() + static_cast<std::ptrdiff_t>(cr),
+                          arena_.begin() + static_cast<std::ptrdiff_t>(cr + words),
+                          arena_.begin() + static_cast<std::ptrdiff_t>(out));
+            out += words;
+        }
+        cr += words;
     }
-    clauses_.resize(out);
+    arena_.resize(out);
+    const auto relocate = [&](ClauseRef cr) {
+        const auto it = std::lower_bound(old_refs.begin(), old_refs.end(), cr);
+        return it != old_refs.end() && *it == cr
+                   ? new_refs[static_cast<std::size_t>(it - old_refs.begin())]
+                   : kNoReason;
+    };
     for (auto& ws : watches_)
-        for (Watcher& w : ws) w.cref = remap[w.cref];
+        for (Watcher& w : ws) w.cref = relocate(w.cref);
     // Locked (reason) clauses are never deleted, so every live reason
-    // remaps to a live slot.
+    // relocates to a live clause; a root-level reason whose clause an
+    // inprocessing pass deleted becomes kNoReason.
     for (ClauseRef& r : reason_)
-        if (r != kNoReason) r = remap[r];
-    for (ClauseRef& cr : learnts_) cr = remap[cr];
-    free_list_guard_ = 0;
+        if (r != kNoReason) r = relocate(r);
+    for (ClauseRef& cr : learnts_) cr = relocate(cr);
+    clause_slots_ -= tombstones_;
+    tombstones_ = 0;
     ++stats_.gc_runs;
 }
 
 void Solver::maybe_gc() {
     // Compact once tombstones dominate the arena; the absolute floor keeps
     // tiny problems from thrashing.
-    if (free_list_guard_ >= 64 && free_list_guard_ * 2 >= clauses_.size())
-        garbage_collect();
+    if (tombstones_ >= 64 && tombstones_ * 2 >= clause_slots_) garbage_collect();
 }
 
 // ---- inprocessing -----------------------------------------------------------
@@ -544,27 +598,19 @@ void Solver::vivify() {
     // already false under the prefix is redundant; a literal propagated true
     // (or a conflict) proves the prefix alone is an implied clause.
     std::vector<ClauseRef> candidates;
-    for (ClauseRef cr = 0; cr < clauses_.size(); ++cr) {
-        const ClauseData& c = clauses_[static_cast<std::size_t>(cr)];
-        if (!c.deleted && !c.learnt && c.lits.size() >= 3) candidates.push_back(cr);
-    }
+    for (ClauseRef cr = 0; cr < arena_.size(); cr += clause_words(cr))
+        if (clause_live_irredundant(cr) && clause_size(cr) >= 3) candidates.push_back(cr);
     const std::uint64_t prop_limit = stats_.propagations + kVivifyPropBudget;
     for (ClauseRef cr : candidates) {
         if (!ok_ || stats_.propagations > prop_limit) return;
-        ClauseData& c = clauses_[static_cast<std::size_t>(cr)];
-        if (c.deleted || c.lits.size() < 3) continue;
+        if (clause_deleted(cr) || clause_size(cr) < 3) continue;
+        const Clause original = clause_lits(cr);
         // Root-satisfied clauses are implied by unit facts: drop them.
-        bool root_sat = false;
-        for (Lit l : c.lits)
-            if (value(l) == LBool::True) {
-                root_sat = true;
-                break;
-            }
-        if (root_sat) {
+        if (std::any_of(original.begin(), original.end(),
+                        [&](Lit l) { return value(l) == LBool::True; })) {
             delete_clause(cr);
             continue;
         }
-        const Clause original = c.lits;
         detach(cr);
         Clause kept;
         for (Lit l : original) {
@@ -603,7 +649,7 @@ void Solver::vivify() {
             }
             continue;
         }
-        c.lits = std::move(kept);
+        shrink_clause(cr, kept);
         attach(cr);
     }
 }
@@ -630,14 +676,15 @@ void Solver::recover_xors() {
     };
     std::map<std::vector<Var>, Bucket> buckets;
     std::vector<Var> vars;
-    for (ClauseRef cr = 0; cr < clauses_.size(); ++cr) {
-        const ClauseData& c = clauses_[static_cast<std::size_t>(cr)];
-        if (c.deleted || c.learnt || c.lits.size() < 2 ||
-            c.lits.size() > kXorMaxArity)
+    Clause c;
+    for (ClauseRef cr = 0; cr < arena_.size(); cr += clause_words(cr)) {
+        if (!clause_live_irredundant(cr) || clause_size(cr) < 2 ||
+            clause_size(cr) > kXorMaxArity)
             continue;
+        c = clause_lits(cr);
         vars.clear();
         bool assigned = false;
-        for (Lit l : c.lits) {
+        for (Lit l : c) {
             if (value(l) != LBool::Undef) {
                 assigned = true;
                 break;
@@ -648,7 +695,7 @@ void Solver::recover_xors() {
         std::sort(vars.begin(), vars.end());
         std::uint32_t mask = 0;
         int parity = 0;
-        for (Lit l : c.lits) {
+        for (Lit l : c) {
             if (!l.negated()) continue;
             const auto pos = std::lower_bound(vars.begin(), vars.end(), l.var());
             mask |= 1u << (pos - vars.begin());
@@ -743,11 +790,10 @@ void Solver::eliminate_variables() {
     // that does not grow the clause count. Assumption variables of the
     // running search are frozen; root-assigned and unused vars are skipped.
     std::vector<std::vector<ClauseRef>> occ(watches_.size());
-    for (ClauseRef cr = 0; cr < clauses_.size(); ++cr) {
-        const ClauseData& c = clauses_[static_cast<std::size_t>(cr)];
-        if (c.deleted) continue;
-        for (Lit l : c.lits)
-            occ[static_cast<std::size_t>(l.code())].push_back(cr);
+    for (ClauseRef cr = 0; cr < arena_.size(); cr += clause_words(cr)) {
+        if (clause_deleted(cr)) continue;
+        for (std::uint32_t i = 0; i < clause_size(cr); ++i)
+            occ[static_cast<std::size_t>(clause_lit(cr, i).code())].push_back(cr);
     }
     std::vector<Clause> resolvents;
     for (Var v = 0; v < num_vars() && ok_; ++v) {
@@ -757,14 +803,10 @@ void Solver::eliminate_variables() {
         const Lit neg(v, true);
         if (is_assumption(pos) || is_assumption(neg)) continue;
         std::vector<ClauseRef> p_refs, n_refs;
-        for (ClauseRef cr : occ[static_cast<std::size_t>(pos.code())]) {
-            const ClauseData& c = clauses_[static_cast<std::size_t>(cr)];
-            if (!c.deleted && !c.learnt) p_refs.push_back(cr);
-        }
-        for (ClauseRef cr : occ[static_cast<std::size_t>(neg.code())]) {
-            const ClauseData& c = clauses_[static_cast<std::size_t>(cr)];
-            if (!c.deleted && !c.learnt) n_refs.push_back(cr);
-        }
+        for (ClauseRef cr : occ[static_cast<std::size_t>(pos.code())])
+            if (clause_live_irredundant(cr)) p_refs.push_back(cr);
+        for (ClauseRef cr : occ[static_cast<std::size_t>(neg.code())])
+            if (clause_live_irredundant(cr)) n_refs.push_back(cr);
         if (p_refs.empty() && n_refs.empty()) continue;  // unused var
         if (p_refs.size() * n_refs.size() > kBveMaxOccProduct) continue;
 
@@ -775,10 +817,10 @@ void Solver::eliminate_variables() {
         for (ClauseRef pr : p_refs) {
             for (ClauseRef nr : n_refs) {
                 Clause r;
-                for (Lit l : clauses_[static_cast<std::size_t>(pr)].lits)
-                    if (l != pos) r.push_back(l);
-                for (Lit l : clauses_[static_cast<std::size_t>(nr)].lits)
-                    if (l != neg) r.push_back(l);
+                for (std::uint32_t i = 0; i < clause_size(pr); ++i)
+                    if (clause_lit(pr, i) != pos) r.push_back(clause_lit(pr, i));
+                for (std::uint32_t i = 0; i < clause_size(nr); ++i)
+                    if (clause_lit(nr, i) != neg) r.push_back(clause_lit(nr, i));
                 std::sort(r.begin(), r.end());
                 r.erase(std::unique(r.begin(), r.end()), r.end());
                 bool taut = false;
@@ -807,10 +849,8 @@ void Solver::eliminate_variables() {
         // included — they are implied, hence deletable), add the resolvents.
         ElimEntry entry;
         entry.v = v;
-        for (ClauseRef cr : p_refs)
-            entry.clauses.push_back(clauses_[static_cast<std::size_t>(cr)].lits);
-        for (ClauseRef cr : n_refs)
-            entry.clauses.push_back(clauses_[static_cast<std::size_t>(cr)].lits);
+        for (ClauseRef cr : p_refs) entry.clauses.push_back(clause_lits(cr));
+        for (ClauseRef cr : n_refs) entry.clauses.push_back(clause_lits(cr));
         for (const Lit l : {pos, neg})
             for (ClauseRef cr : occ[static_cast<std::size_t>(l.code())])
                 delete_clause(cr);
@@ -824,8 +864,9 @@ void Solver::eliminate_variables() {
                                 &added))
                 return;  // root conflict: ok_ is false
             if (added != kNoReason)
-                for (Lit l : clauses_[static_cast<std::size_t>(added)].lits)
-                    occ[static_cast<std::size_t>(l.code())].push_back(added);
+                for (std::uint32_t i = 0; i < clause_size(added); ++i)
+                    occ[static_cast<std::size_t>(clause_lit(added, i).code())]
+                        .push_back(added);
         }
     }
 }
@@ -1011,16 +1052,15 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
                     if (into_assumptions && is_assumption(~learnt[0]))
                         return Result::Unsat;
                 } else {
-                    const ClauseRef cref = alloc_clause(std::move(learnt), true);
-                    clauses_[cref].lbd = compute_lbd(clauses_[cref].lits);
-                    if (export_hook_ && clauses_[cref].lbd <= opts_.share_lbd_max)
-                        export_hook_(clauses_[cref].lits, clauses_[cref].lbd);
+                    const std::int32_t lbd = compute_lbd(learnt);
+                    const ClauseRef cref = alloc_clause(learnt, /*learnt=*/true, lbd);
+                    if (export_hook_ && lbd <= opts_.share_lbd_max)
+                        export_hook_(learnt, lbd);
                     attach(cref);
                     learnts_.push_back(cref);
                     ++stats_.learnt_clauses;
-                    enqueue(clauses_[cref].lits[0], cref);
-                    if (into_assumptions &&
-                        is_assumption(~clauses_[cref].lits[0]))
+                    enqueue(learnt[0], cref);
+                    if (into_assumptions && is_assumption(~learnt[0]))
                         return Result::Unsat;
                 }
                 decay_var_activity();
@@ -1096,7 +1136,9 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
         if (next == kUndefLit) {
             // Full model found; BVE-eliminated vars get their values from
             // the stored-clause replay.
-            model_.assign(assign_.begin(), assign_.end());
+            model_.resize(static_cast<std::size_t>(num_vars()));
+            for (Var v = 0; v < num_vars(); ++v)
+                model_[static_cast<std::size_t>(v)] = value(v);
             if (!elim_stack_.empty()) extend_model();
             backtrack_to(0);
             return Result::Sat;

@@ -11,17 +11,25 @@
 //    clauses and assumptions.
 //  * Arena-GC stress: repeated reduce/GC cycles keep num_clauses()
 //    accounting and watcher/reason refs consistent (a dangling ref crashes
-//    here, or trips the GSHE_ASAN build in CI).
+//    here, or trips the GSHE_ASAN build in CI). Clauses that vivification
+//    shrinks in place survive a later compaction with their literals.
+//  * Pinned trajectories: every SolverStats counter of two fixed instances,
+//    with and without inprocessing, equals its recorded value.
 //  * Campaign determinism: a fixed inprocessing config produces
 //    byte-identical CSVs across thread counts.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "camo/cell_library.hpp"
+#include "camo/protect.hpp"
 #include "common/rng.hpp"
 #include "engine/campaign.hpp"
 #include "engine/report.hpp"
+#include "netlist/corpus.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/simulator.hpp"
 #include "sat/solver.hpp"
@@ -427,6 +435,165 @@ TEST(ArenaGc, NumClausesNeverCountsTombstones) {
     // subtracted in between).
     EXPECT_LE(s.num_clauses(),
               before + (s.stats().learnt_clauses - s.stats().removed_clauses) + 1);
+}
+
+TEST(ArenaGc, VivifiedClauseSurvivesCompactionIntact) {
+    // Each group's long clause (a | b | c_1..c_k | d) vivifies in place down
+    // to (a | b | d), because (a | b | !c_j) makes every c_j redundant; that
+    // frees k = 1..3 words in the middle of the arena. Filler clauses made
+    // root-satisfied by the unit z are tombstoned in the same pass, which
+    // tips the arena into garbage_collect. The compaction walk must step
+    // over the freed words, and every shrunk clause and its neighbours must
+    // keep their literals.
+    Solver::Options o;
+    o.use_vivification = true;
+    o.inprocess_interval = 1u << 20;  // only the entry round runs
+    Solver s(o);
+    const Var z = s.new_var();
+    struct Group {
+        Var a = kNoVar, b = kNoVar, d = kNoVar;
+        std::vector<Var> cs;
+    };
+    std::vector<Group> groups;
+    std::vector<Clause> clauses;  // irredundant clauses that must hold
+    int fillers = 0;
+    for (int i = 0; i < 40; ++i) {
+        Group g;
+        g.a = s.new_var();
+        g.b = s.new_var();
+        for (int j = 0; j <= i % 3; ++j) g.cs.push_back(s.new_var());
+        g.d = s.new_var();
+        Clause wide{Lit(g.a, false), Lit(g.b, false)};
+        for (Var c : g.cs) wide.push_back(Lit(c, false));
+        wide.push_back(Lit(g.d, false));
+        clauses.push_back(wide);
+        for (Var c : g.cs)
+            clauses.push_back({Lit(g.a, false), Lit(g.b, false), Lit(c, true)});
+        for (int j = 0; j < 5; ++j, ++fillers) {
+            const Var f = s.new_var(), h = s.new_var();
+            clauses.push_back({Lit(z, false), Lit(f, false), Lit(h, true)});
+        }
+        groups.push_back(g);
+    }
+    for (const Clause& c : clauses) ASSERT_TRUE(s.add_clause(c));
+    const std::size_t before = s.num_clauses();
+    ASSERT_EQ(before, clauses.size());
+    ASSERT_TRUE(s.add_clause(Clause{Lit(z, false)}));  // satisfies every filler
+
+    ASSERT_EQ(s.solve(), Result::Sat);
+    std::uint64_t freed = 0;
+    for (const Group& g : groups) freed += g.cs.size();
+    EXPECT_EQ(s.stats().vivified_lits, freed);
+    EXPECT_EQ(s.stats().removed_clauses, static_cast<std::uint64_t>(fillers));
+    ASSERT_EQ(s.stats().gc_runs, 1u);
+    // The count is allocated clauses minus tombstones: compaction drops the
+    // tombstones and the padding without changing it.
+    EXPECT_EQ(s.num_clauses(),
+              before + s.stats().learnt_clauses - s.stats().removed_clauses);
+
+    const auto model_satisfies_all = [&] {
+        for (const Clause& c : clauses) {
+            bool sat = false;
+            for (Lit l : c)
+                if (l.negated() != s.model_bool(l.var())) sat = true;
+            if (!sat) return false;
+        }
+        return true;
+    };
+    for (const Group& g : groups) {
+        const Lit na(g.a, true), nb(g.b, true);
+        EXPECT_EQ(s.solve({na, nb, Lit(g.d, true)}), Result::Unsat);
+        for (Var c : g.cs) EXPECT_EQ(s.solve({na, nb, Lit(c, false)}), Result::Unsat);
+        ASSERT_EQ(s.solve({na, nb}), Result::Sat);
+        EXPECT_TRUE(s.model_bool(g.d));
+        EXPECT_TRUE(model_satisfies_all());
+    }
+}
+
+// ---- pinned search trajectories ----------------------------------------------
+//
+// Every SolverStats counter of two fixed instances, recorded on the solver
+// before its clause storage became a flat arena. Any change to watcher
+// order, literal swaps, VSIDS heap ties, learnt-DB reduction or GC order
+// moves at least one of them. The golden CSVs only pin small runs that
+// never reduce or compact, so these are the tests that see such drift.
+
+using Counters = std::array<std::uint64_t, 11>;
+
+Counters counters(const Solver::Stats& s) {
+    return {s.decisions,     s.propagations, s.conflicts,     s.restarts,
+            s.learnt_clauses, s.removed_clauses, s.inprocessings, s.gc_runs,
+            s.vivified_lits, s.xors_recovered, s.eliminated_vars};
+}
+
+Solver::Options inprocess_every_1024() {
+    Solver::Options o;
+    o.use_vivification = true;
+    o.use_xor_recovery = true;
+    o.use_bve = true;
+    o.inprocess_interval = 1024;
+    return o;
+}
+
+Result solve_camo_miter(Solver& s) {
+    // The first-DIP miter of BM_SatSolveMiter: c7552 with 10% of its gates
+    // camouflaged as GSHE-16 cells (7-literal clauses), two copies sharing
+    // the primary inputs, outputs forced to differ.
+    const auto nl = netlist::build_benchmark("c7552");
+    const auto sel = camo::select_gates(nl, 0.10, 1);
+    const auto prot = camo::apply_camouflage(nl, sel, camo::gshe16(), 1);
+    const CircuitEncoding e1 = encode_circuit(s, prot.netlist);
+    const CircuitEncoding e2 = encode_circuit(s, prot.netlist, e1.pis);
+    add_difference(s, e1.outs, e2.outs);
+    return s.solve();
+}
+
+Result solve_random_3sat(Solver& s) {
+    // 200 variables, 860 clauses (ratio 4.3): UNSAT after ~11k conflicts,
+    // enough for three learnt-DB reductions and one arena compaction.
+    constexpr int kVars = 200;
+    Rng rng(7);
+    for (int v = 0; v < kVars; ++v) s.new_var();
+    for (int i = 0; i < 860; ++i) {
+        Clause c;
+        for (int j = 0; j < 3; ++j) {
+            const auto v = static_cast<Var>(rng.below(kVars));
+            const bool negated = rng.bernoulli(0.5);
+            c.push_back(Lit(v, negated));
+        }
+        s.add_clause(c);
+    }
+    return s.solve();
+}
+
+TEST(PinnedTrajectory, CamoMiterDefaultOptions) {
+    Solver s;
+    ASSERT_EQ(solve_camo_miter(s), Result::Sat);
+    EXPECT_EQ(counters(s.stats()),
+              (Counters{35148, 115040, 442, 2, 441, 0, 0, 0, 0, 0, 0}));
+}
+
+TEST(PinnedTrajectory, CamoMiterInprocessing) {
+    Solver s(inprocess_every_1024());
+    ASSERT_EQ(solve_camo_miter(s), Result::Sat);
+    EXPECT_EQ(counters(s.stats()),
+              (Counters{5521, 193850, 143, 1, 143, 2520, 1, 0, 5161, 409, 298}));
+}
+
+TEST(PinnedTrajectory, RandomThreeSatReducesAndCompacts) {
+    Solver s;
+    ASSERT_EQ(solve_random_3sat(s), Result::Unsat);
+    EXPECT_GE(s.stats().gc_runs, 1u);
+    EXPECT_EQ(counters(s.stats()),
+              (Counters{13484, 419657, 11276, 37, 11268, 6617, 0, 1, 0, 0, 0}));
+}
+
+TEST(PinnedTrajectory, RandomThreeSatInprocessing) {
+    Solver s(inprocess_every_1024());
+    ASSERT_EQ(solve_random_3sat(s), Result::Unsat);
+    EXPECT_GE(s.stats().gc_runs, 1u);
+    EXPECT_EQ(counters(s.stats()),
+              (Counters{14189, 467012, 11964, 39, 11950, 6717, 11, 1, 33, 0, 8}));
 }
 
 // ---- campaign determinism with inprocessing on ------------------------------

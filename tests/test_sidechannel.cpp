@@ -100,6 +100,24 @@ TEST(Photonic, ToggleActivityCountsTransitions) {
     EXPECT_LT(act[g], 192.0);
 }
 
+TEST(Photonic, ConstantKeyLinesNeverToggle) {
+    // A key line is held constant for the whole stream, so neither it nor
+    // the inverter it drives may count a toggle, whichever value it holds.
+    // Bit 0 of each 64-cycle word pairs with the previous word's last
+    // pattern (the seam), never with itself.
+    for (const bool bit : {false, true}) {
+        Netlist nl("k");
+        const auto k = nl.add_input("k");
+        const auto g = nl.add_unary(Bool2::NOT_A(), k);
+        nl.add_output(g, "y");
+        camo::Key key;
+        key.bits = {bit};
+        const auto act = toggle_activity(nl, {k}, key, 64 * 4, 1);
+        EXPECT_EQ(act[k], 0.0) << "key bit " << bit;
+        EXPECT_EQ(act[g], 0.0) << "key bit " << bit;
+    }
+}
+
 TEST(Photonic, CmosKeyLogicLeaks) {
     const Netlist nl = small_circuit(7);
     const camo::LockedCircuit lc = camo::lock_epic_xor(nl, 12, 3);
