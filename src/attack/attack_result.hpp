@@ -13,67 +13,18 @@
 
 namespace gshe::attack {
 
-/// How the oracle-guided attacks recover a key once the miter goes Unsat
-/// (and at every AppSAT settlement):
-///
-///   Fresh    the historical scheme — a fresh solver re-encodes the full
-///            circuit plus the entire DIP history per extraction. The
-///            default: recorded golden trajectories were produced by this
-///            scheme and must keep reproducing bit for bit.
-///   Inplace  extraction runs on the live miter solver. The miter's
-///            output-difference clauses are routed through a selector
-///            literal d; DIP iterations solve under assumption {d}, key
-///            extraction under {~d} — all agreements, learned clauses and
-///            inprocessing state persist, and no re-encode happens at all.
-///
-/// Both modes are deterministic; inplace changes solver trajectories (the
-/// extraction solves share the miter solver's cumulative conflict
-/// allowance, where fresh gives each extraction its own), so it is campaign
-/// data exactly like the encoder mode.
-enum class ExtractionMode { Fresh, Inplace };
-
-/// Registry-style spelling ("fresh" / "inplace").
-const std::string& extraction_mode_name(ExtractionMode mode);
-/// Inverse; std::nullopt for unrecognized spellings.
-std::optional<ExtractionMode> extraction_mode_from_name(const std::string& name);
-/// All mode spellings, for CLI/usage errors.
-std::vector<std::string> extraction_mode_names();
-
-/// Which primary inputs the DIP solver is allowed to assign:
-///
-///   Full  the historical miter — every primary input is a free variable.
-///         The default: recorded golden trajectories were produced over the
-///         full input space and must keep reproducing bit for bit.
-///   Cone  primary inputs outside the key cone's transitive fanin
-///         (Netlist::key_support()) are pinned to constant 0 in the miter.
-///         Such an input can never influence a key-dependent output, so the
-///         restricted miter distinguishes exactly the same key classes —
-///         but the CNF shrinks and DIPs collapse onto the support
-///         projection, deduping oracle queries.
-///
-/// Both modes are deterministic; cone changes DIP trajectories (the solver
-/// picks different models), so it is campaign data exactly like the encoder
-/// and extraction modes.
-enum class DipSupportMode { Full, Cone };
-
-/// Registry-style spelling ("full" / "cone").
-const std::string& dip_support_mode_name(DipSupportMode mode);
-/// Inverse; std::nullopt for unrecognized spellings.
-std::optional<DipSupportMode> dip_support_mode_from_name(
-    const std::string& name);
-/// All mode spellings, for CLI/usage errors.
-std::vector<std::string> dip_support_mode_names();
-
 struct AttackOptions {
     /// Wall-clock budget for the whole attack; exceeded => Status::TimedOut
     /// (the "t-o" cells of Table IV, scaled from the paper's 48 h).
     double timeout_seconds = 60.0;
     /// Deterministic resource cap: maximum cumulative solver conflicts per
-    /// solver instance (the miter solver and each key-extraction solver get
-    /// their own allowance). Exhaustion reports Status::TimedOut like the
-    /// wall clock, but — unlike the wall clock — identically on every
-    /// machine, load level and thread count; the campaign engine budgets
-    /// with this so "t-o" cells reproduce bit-for-bit.
+    /// solver instance. Key extraction runs on the miter solver and shares
+    /// its allowance; Double DIP's 2-DIP miter and its single-DIP phase are
+    /// two solvers with one allowance each. Exhaustion reports
+    /// Status::TimedOut like the wall clock, but — unlike the wall clock —
+    /// identically on every machine, load level and thread count; the
+    /// campaign engine budgets with this so "t-o" cells reproduce
+    /// bit-for-bit.
     std::uint64_t max_conflicts = std::numeric_limits<std::uint64_t>::max();
     /// Hard cap on DIP iterations (safety net; effectively unbounded).
     std::size_t max_iterations = 1u << 20;
@@ -96,24 +47,6 @@ struct AttackOptions {
     /// matrices need (Sec. V-B runs AppSAT at a PAC tolerance). Ignored by
     /// the exact attacks.
     double appsat_error_threshold = 0.0;
-    /// CNF encoder mode (sat/encoder.hpp): "legacy" (historical per-gate
-    /// Tseitin — the default, pinned so recorded golden trajectories keep
-    /// reproducing bit-for-bit) or "compact" (constant folding + structural
-    /// hashing + key-cone-reduced agreements). Unknown names make the
-    /// attack throw with the list of modes. Both modes are deterministic.
-    std::string encoder = "legacy";
-    /// Key-extraction mode (ExtractionMode above): "fresh" (per-extraction
-    /// solver + full-history replay — the default, pinned so recorded
-    /// golden trajectories keep reproducing bit-for-bit) or "inplace"
-    /// (assumption-guarded extraction on the live miter solver). Unknown
-    /// names make the attack throw with the list of modes.
-    std::string extraction = "fresh";
-    /// DIP support mode (DipSupportMode above): "full" (historical miter
-    /// over every primary input — the default, pinned so recorded golden
-    /// trajectories keep reproducing bit-for-bit) or "cone" (primary inputs
-    /// outside the key support pinned to constants). Unknown names make the
-    /// attack throw with the list of modes.
-    std::string dip_support = "full";
 };
 
 struct AttackResult {
@@ -140,20 +73,10 @@ struct AttackResult {
     /// the worker that decided the miter solver's last decisive solve.
     int portfolio_width = 0;
     int portfolio_winner = -1;
-    /// CNF-emission telemetry, summed over every encoder the attack used
-    /// (miter plus key-extraction solvers). Telemetry only: rides the JSON
-    /// report and journal, never the deterministic CSV.
+    /// CNF-emission telemetry, summed over every encoder the attack used.
+    /// Telemetry only: rides the JSON report and journal, never the
+    /// deterministic CSV.
     sat::EncoderStats encoder_stats;
-    /// In-place extraction telemetry (extraction mode "inplace"; all zero
-    /// under "fresh"). Deterministic — counted at fixed points of the
-    /// attack loop — but rides JSON/journal only, like encoder_stats.
-    /// Key extractions answered by an assumption solve on the live miter
-    /// solver (each one a fresh-solver build + full-history replay avoided).
-    std::uint64_t inplace_extractions = 0;
-    /// Formula size whose re-encode those extractions skipped: the live
-    /// solver's variable/clause counts summed at each in-place extraction.
-    std::uint64_t reencode_vars_avoided = 0;
-    std::uint64_t reencode_clauses_avoided = 0;
 
     bool timed_out() const { return status == Status::TimedOut; }
     static std::string status_name(Status s);

@@ -25,7 +25,7 @@ AttackResult double_dip_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
     const std::unique_ptr<sat::SolverBackend> solver_ptr =
         detail::make_attack_solver(options);
     sat::SolverBackend& solver = *solver_ptr;
-    sat::CircuitEncoder encoder(solver, detail::resolve_encoder_mode(options));
+    sat::CircuitEncoder encoder(solver);
     const auto enc1 = encoder.encode(camo_nl);
     const auto enc2 = encoder.encode(camo_nl, enc1.pis);
     const auto enc3 = encoder.encode(camo_nl, enc1.pis);
@@ -71,8 +71,8 @@ AttackResult double_dip_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
         ++res.iterations;
         std::vector<bool> dip = detail::model_values(solver, enc1.pis);
         std::vector<bool> response = oracle.query_single(dip);
-        // Two pair agreements instead of four singles: the compact encoder
-        // simulates the DIP once per pair, with an unchanged clause stream.
+        // Two pair agreements instead of four singles: the encoder simulates
+        // the DIP once per pair, with an unchanged clause stream.
         encoder.add_agreement_pair(camo_nl, enc1.keys, enc2.keys, dip,
                                    response);
         encoder.add_agreement_pair(camo_nl, enc3.keys, enc4.keys, dip,

@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "attack/miter_detail.hpp"
-#include "sat/tseitin.hpp"
+#include "sat/encoder.hpp"
 
 namespace gshe::attack {
 namespace {
@@ -41,8 +41,7 @@ EquivResult check_equivalence(const netlist::Netlist& a,
                               const netlist::Netlist& b,
                               double timeout_seconds,
                               const sat::SolverOptions& opts,
-                              const std::string& solver_backend,
-                              const std::string& encoder) {
+                              const std::string& solver_backend) {
     if (a.inputs().size() != b.inputs().size() ||
         a.outputs().size() != b.outputs().size())
         throw std::invalid_argument("check_equivalence: interface mismatch");
@@ -53,7 +52,7 @@ EquivResult check_equivalence(const netlist::Netlist& a,
 
     const std::unique_ptr<sat::SolverBackend> solver =
         sat::make_backend(solver_backend, opts);
-    sat::CircuitEncoder enc(*solver, detail::resolve_encoder_mode(encoder));
+    sat::CircuitEncoder enc(*solver);
     const auto enc_a = enc.encode(a);
     const auto enc_b = enc.encode(b, enc_a.pis);
     return run_miter(*solver, enc, enc_a.pis, enc_a.outs, enc_b.outs,
@@ -64,23 +63,22 @@ EquivResult check_key_equivalence(const netlist::Netlist& camo_nl,
                                   const camo::Key& key,
                                   double timeout_seconds,
                                   const sat::SolverOptions& opts,
-                                  const std::string& solver_backend,
-                                  const std::string& encoder) {
+                                  const std::string& solver_backend) {
     if (key.bits.size() != static_cast<std::size_t>(camo_nl.key_bit_count()))
         throw std::invalid_argument("check_key_equivalence: key size mismatch");
 
     const std::unique_ptr<sat::SolverBackend> solver =
         sat::make_backend(solver_backend, opts);
-    sat::CircuitEncoder enc(*solver, detail::resolve_encoder_mode(encoder));
+    sat::CircuitEncoder enc(*solver);
     // Copy A: key variables pinned to the candidate key.
     const auto enc_a = enc.encode(camo_nl);
     for (std::size_t i = 0; i < enc_a.keys.size(); ++i)
-        sat::fix_var(*solver, enc_a.keys[i], key.bits[i]);
+        enc.fix_var(enc_a.keys[i], key.bits[i]);
     // Copy B: key variables pinned to the true key (ground truth).
     const camo::Key truth = camo::true_key(camo_nl);
     const auto enc_b = enc.encode(camo_nl, enc_a.pis);
     for (std::size_t i = 0; i < enc_b.keys.size(); ++i)
-        sat::fix_var(*solver, enc_b.keys[i], truth.bits[i]);
+        enc.fix_var(enc_b.keys[i], truth.bits[i]);
 
     return run_miter(*solver, enc, enc_a.pis, enc_a.outs, enc_b.outs,
                      timeout_seconds);

@@ -23,14 +23,13 @@ struct EquivResult {
 
 /// Checks whether two plain combinational netlists (same input/output
 /// counts, matched by position) are functionally equivalent. The miter is
-/// solved on the SAT backend named by `solver_backend` (sat/backend.hpp)
-/// and built by the CNF encoder named by `encoder` (sat/encoder.hpp).
+/// built by sat::CircuitEncoder and solved on the SAT backend named by
+/// `solver_backend` (sat/backend.hpp).
 EquivResult check_equivalence(const netlist::Netlist& a,
                               const netlist::Netlist& b,
                               double timeout_seconds = 60.0,
                               const sat::SolverOptions& opts = {},
-                              const std::string& solver_backend = "internal",
-                              const std::string& encoder = "legacy");
+                              const std::string& solver_backend = "internal");
 
 /// Checks whether `camo_nl` under `key` equals its own true functionality.
 EquivResult check_key_equivalence(const netlist::Netlist& camo_nl,
@@ -38,7 +37,6 @@ EquivResult check_key_equivalence(const netlist::Netlist& camo_nl,
                                   double timeout_seconds = 60.0,
                                   const sat::SolverOptions& opts = {},
                                   const std::string& solver_backend =
-                                      "internal",
-                                  const std::string& encoder = "legacy");
+                                      "internal");
 
 }  // namespace gshe::attack

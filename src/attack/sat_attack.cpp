@@ -10,43 +10,6 @@ namespace gshe::attack {
 
 using detail::History;
 
-namespace {
-const std::string kFreshName = "fresh";
-const std::string kInplaceName = "inplace";
-const std::string kFullName = "full";
-const std::string kConeName = "cone";
-}  // namespace
-
-const std::string& extraction_mode_name(ExtractionMode mode) {
-    return mode == ExtractionMode::Inplace ? kInplaceName : kFreshName;
-}
-
-std::optional<ExtractionMode> extraction_mode_from_name(
-    const std::string& name) {
-    if (name == kFreshName) return ExtractionMode::Fresh;
-    if (name == kInplaceName) return ExtractionMode::Inplace;
-    return std::nullopt;
-}
-
-std::vector<std::string> extraction_mode_names() {
-    return {kFreshName, kInplaceName};
-}
-
-const std::string& dip_support_mode_name(DipSupportMode mode) {
-    return mode == DipSupportMode::Cone ? kConeName : kFullName;
-}
-
-std::optional<DipSupportMode> dip_support_mode_from_name(
-    const std::string& name) {
-    if (name == kFullName) return DipSupportMode::Full;
-    if (name == kConeName) return DipSupportMode::Cone;
-    return std::nullopt;
-}
-
-std::vector<std::string> dip_support_mode_names() {
-    return {kFullName, kConeName};
-}
-
 std::string AttackResult::status_name(AttackResult::Status s) {
     switch (s) {
         case AttackResult::Status::Success: return "success";

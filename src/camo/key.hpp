@@ -3,7 +3,7 @@
 //
 // A key is the concatenation of each camouflaged cell's candidate index,
 // binary-encoded LSB-first, in camo-table order — the exact layout the CNF
-// encoder (sat/tseitin) gives its key variables, so a Key maps 1:1 onto a
+// encoder (sat/encoder) gives its key variables, so a Key maps 1:1 onto a
 // SAT model and back.
 
 #include <cstdint>

@@ -66,7 +66,7 @@ LockedCircuit to_locked(const Netlist& nl) {
     if (!nl.dffs().empty() && out.size() == 0) out.add_const(false);
     for (GateId id : nl.dffs()) remap[id] = out.add_dff(0, nl.gate(id).name);
 
-    // Key inputs, one block per camo cell (same layout as Key/tseitin).
+    // Key inputs, one block per camo cell (same layout as Key/sat::CircuitEncoder).
     std::vector<std::vector<GateId>> cell_keys;
     int key_counter = 0;
     for (const netlist::CamoCell& cell : nl.camo_cells()) {

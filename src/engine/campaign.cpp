@@ -193,9 +193,6 @@ JobResult CampaignRunner::run_job(const PlannedJob& job,
     r.defense = spec.defense.label();
     r.attack = spec.attack;
     r.solver_backend = spec.attack_options.solver_backend;
-    r.encoder = spec.attack_options.encoder;
-    r.extraction = spec.attack_options.extraction;
-    r.dip_support = spec.attack_options.dip_support;
     r.spec_seed = spec.seed;
     r.derived_seed = job.derived_seed;
     r.oracle_group = static_cast<std::uint64_t>(job.group);

@@ -113,20 +113,6 @@ void write_spec(JsonWriter& w, const JobSpec& spec) {
     w.value_full(spec.attack_options.appsat_error_threshold);
     w.key("solver_backend");
     w.value(spec.attack_options.solver_backend);
-    // Additive to journal v1, and written only off-default so legacy job
-    // keys (fnv1a over the spec JSON) and plan fingerprints are unchanged.
-    if (spec.attack_options.encoder != "legacy") {
-        w.key("encoder");
-        w.value(spec.attack_options.encoder);
-    }
-    if (spec.attack_options.extraction != "fresh") {
-        w.key("extraction");
-        w.value(spec.attack_options.extraction);
-    }
-    if (spec.attack_options.dip_support != "full") {
-        w.key("dip_support");
-        w.value(spec.attack_options.dip_support);
-    }
     w.key("solver");
     write_solver_options(w, spec.attack_options.solver);
     w.end_object();
@@ -152,12 +138,6 @@ void write_result(JsonWriter& w, const JobResult& r) {
     w.value(r.attack);
     w.key("solver_backend");
     w.value(r.solver_backend);
-    w.key("encoder");
-    w.value(r.encoder);
-    w.key("extraction");
-    w.value(r.extraction);
-    w.key("dip_support");
-    w.value(r.dip_support);
     w.key("spec_seed");
     w.value(r.spec_seed);
     w.key("derived_seed");
@@ -223,7 +203,7 @@ void write_result(JsonWriter& w, const JobResult& r) {
     w.value(static_cast<std::int64_t>(r.result.portfolio_winner));
     w.key("portfolio_width");
     w.value(static_cast<std::int64_t>(r.result.portfolio_width));
-    // CNF-encoder telemetry (additive; legacy-era records decode to zeros).
+    // CNF-encoder telemetry.
     w.key("encoder_stats");
     w.begin_object();
     w.key("vars");
@@ -245,14 +225,6 @@ void write_result(JsonWriter& w, const JobResult& r) {
     w.key("sim_gates");
     w.value(r.result.encoder_stats.sim_gates);
     w.end_object();
-    // In-place extraction telemetry (additive; fresh-era records decode to
-    // zeros).
-    w.key("inplace_extractions");
-    w.value(r.result.inplace_extractions);
-    w.key("reencode_vars_avoided");
-    w.value(r.result.reencode_vars_avoided);
-    w.key("reencode_clauses_avoided");
-    w.value(r.result.reencode_clauses_avoided);
     w.end_object();
     w.key("oracle_stats");
     w.begin_object();
@@ -372,9 +344,6 @@ std::optional<JobSpec> spec_from_value(const json::Value& v) {
             *o, "appsat_error_threshold", opt.appsat_error_threshold);
         opt.solver_backend =
             string_field(*o, "solver_backend", opt.solver_backend);
-        opt.encoder = string_field(*o, "encoder", opt.encoder);
-        opt.extraction = string_field(*o, "extraction", opt.extraction);
-        opt.dip_support = string_field(*o, "dip_support", opt.dip_support);
         if (const json::Value* s = o->find("solver"); s && s->is_object()) {
             opt.solver.use_vsids =
                 bool_field(*s, "use_vsids", opt.solver.use_vsids);
@@ -430,9 +399,6 @@ std::optional<JobResult> result_from_value(const json::Value& v) {
     r.defense = string_field(v, "defense");
     r.attack = string_field(v, "attack");
     r.solver_backend = string_field(v, "solver_backend", r.solver_backend);
-    r.encoder = string_field(v, "encoder", r.encoder);
-    r.extraction = string_field(v, "extraction", r.extraction);
-    r.dip_support = string_field(v, "dip_support", r.dip_support);
     r.spec_seed = u64_field(v, "spec_seed");
     r.derived_seed = u64_field(v, "derived_seed");
     r.protected_cells = static_cast<std::size_t>(
@@ -493,11 +459,6 @@ std::optional<JobResult> result_from_value(const json::Value& v) {
         es.cone_gates = u64_field(*e, "cone_gates", 0);
         es.sim_gates = u64_field(*e, "sim_gates", 0);
     }
-    r.result.inplace_extractions = u64_field(*a, "inplace_extractions", 0);
-    r.result.reencode_vars_avoided =
-        u64_field(*a, "reencode_vars_avoided", 0);
-    r.result.reencode_clauses_avoided =
-        u64_field(*a, "reencode_clauses_avoided", 0);
     if (const json::Value* o = v.find("oracle_stats"); o && o->is_object()) {
         r.oracle_stats.calls = u64_field(*o, "calls");
         r.oracle_stats.single_calls = u64_field(*o, "single_calls");

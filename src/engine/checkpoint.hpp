@@ -44,9 +44,14 @@
 namespace gshe::engine::checkpoint {
 
 /// Journal format version; bump when a record's schema changes
-/// incompatibly. Decoders ignore unknown fields, so additive changes do not
-/// need a bump.
-inline constexpr std::uint64_t kJournalVersion = 1;
+/// incompatibly, or when the same spec starts producing a different result.
+/// Decoders ignore unknown fields, so additive changes do not need a bump.
+/// Version 2: the one attack pipeline (compact encoding, in-place key
+/// extraction, key-support DIPs) replaced the historical default path. A
+/// default spec serializes to the same JSON — and so the same job key — as
+/// under version 1, so version-1 records must be refused, not replayed as
+/// results of the new pipeline.
+inline constexpr std::uint64_t kJournalVersion = 2;
 
 /// Shard provenance stamped on every record (additive to version 1): which
 /// plan the job belongs to and which shard's journal it was written into.

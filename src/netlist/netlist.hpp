@@ -137,7 +137,7 @@ public:
     /// Key-cone membership: flag[id] != 0 iff gate id is a camouflaged cell
     /// or transitively downstream of one — the only gates whose value can
     /// depend on the key. Everything outside the cone is a pure function of
-    /// the primary inputs, which is what lets the compact CNF encoder
+    /// the primary inputs, which is what lets the CNF encoder
     /// replace it with simulated constants per DIP. Cached like the topo
     /// order (prewarm with an initial call before sharing the netlist across
     /// threads); invalidated by structural mutation AND by camouflage() /
@@ -156,7 +156,7 @@ public:
     /// graph.
     const SimPlan& sim_plan() const;
     /// Cone-restricted sub-plan covering exactly frontier_read_set(): the
-    /// compact encoder's per-DIP sweeps run these steps instead of the whole
+    /// CNF encoder's per-DIP sweeps run these steps instead of the whole
     /// circuit. Same caching/invalidation as sim_plan().
     const SimPlan& frontier_plan() const;
     /// The gates frontier_plan() serves (non-cone fanins of cone gates plus
@@ -164,7 +164,7 @@ public:
     const std::vector<GateId>& frontier_read_set() const;
     /// Key support: flag[id] != 0 iff gate id is inside the key cone or its
     /// transitive fanin. A primary input outside the support can never
-    /// influence a key-dependent output (--dip-support=cone pins it). Same
+    /// influence a key-dependent output (the DIP miter pins it). Same
     /// caching/invalidation as sim_plan().
     const std::vector<char>& key_support() const;
 

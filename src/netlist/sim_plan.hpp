@@ -13,13 +13,13 @@
 //
 //   restricted plan   the subset of steps in the transitive fanin of a
 //                     requested read set, in the same level-major order.
-//                     The compact CNF encoder reads only the key-cone
+//                     The CNF encoder reads only the key-cone
 //                     frontier per DIP, so its sweeps shrink from
 //                     O(|circuit|) to O(|frontier cone|) steps.
 //   key support       per-gate flag: inside the key cone or its transitive
 //                     fanin. A primary input outside the support can never
-//                     influence a key-dependent output — the DIP loop may
-//                     pin it to a constant (--dip-support=cone).
+//                     influence a key-dependent output — the DIP loop
+//                     pins it to a constant.
 //
 // Plans are cached on the Netlist (sim_plan() / frontier_plan() /
 // key_support()) and invalidated by structural mutation and by
@@ -67,9 +67,9 @@ struct SimPlan {
 /// walk.
 SimPlan build_sim_plan(const Netlist& nl);
 
-/// The compact encoder's per-DIP read set: every non-cone fanin of a
+/// The CNF encoder's per-DIP read set: every non-cone fanin of a
 /// key-cone gate plus every non-cone primary-output driver — exactly the
-/// gates add_agreement_compact reads as simulated constants. Sorted
+/// gates the encoder's agreement cones read as simulated constants. Sorted
 /// ascending; includes non-Logic gates (inputs/constants) whose slots are
 /// seeded rather than computed.
 std::vector<GateId> frontier_read_set(const Netlist& nl);

@@ -2,7 +2,7 @@
 // The pluggable SAT-backend layer.
 //
 // Every SAT consumer in the repo — the oracle-guided attacks, the
-// equivalence checker, the Tseitin encoder — programs against the abstract
+// equivalence checker, the CNF encoder — programs against the abstract
 // SolverBackend interface below instead of a concrete solver class. Three
 // backends ship in-tree:
 //

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "netlist/simulator.hpp"
-#include "sat/tseitin.hpp"
 
 namespace gshe::sat {
 namespace {
@@ -15,7 +14,7 @@ using netlist::Gate;
 using netlist::GateId;
 using netlist::kNoGate;
 
-/// Clause literal asserting "var != value" (row guard), as in tseitin.cpp.
+/// Clause literal asserting "var != value" (a truth-table row guard).
 Lit guard(Var v, bool value) { return Lit(v, value); }
 /// Clause literal asserting "var == value".
 Lit equal(Var v, bool value) { return Lit(v, !value); }
@@ -51,24 +50,14 @@ std::vector<int> camo_key_offsets(const netlist::Netlist& nl, int* total) {
     return off;
 }
 
-const std::string kLegacyName = "legacy";
-const std::string kCompactName = "compact";
+std::uint64_t num_vars(const SolverBackend& s) {
+    return static_cast<std::uint64_t>(s.num_vars());
+}
+std::uint64_t num_clauses(const SolverBackend& s) {
+    return static_cast<std::uint64_t>(s.num_clauses());
+}
 
 }  // namespace
-
-const std::string& encoder_mode_name(EncoderMode mode) {
-    return mode == EncoderMode::Compact ? kCompactName : kLegacyName;
-}
-
-std::optional<EncoderMode> encoder_mode_from_name(const std::string& name) {
-    if (name == kLegacyName) return EncoderMode::Legacy;
-    if (name == kCompactName) return EncoderMode::Compact;
-    return std::nullopt;
-}
-
-std::vector<std::string> encoder_mode_names() {
-    return {kLegacyName, kCompactName};
-}
 
 void accumulate(EncoderStats& into, const EncoderStats& from) {
     into.vars += from.vars;
@@ -82,8 +71,7 @@ void accumulate(EncoderStats& into, const EncoderStats& from) {
     into.sim_gates += from.sim_gates;
 }
 
-CircuitEncoder::CircuitEncoder(SolverBackend& solver, EncoderMode mode)
-    : solver_(solver), mode_(mode) {}
+CircuitEncoder::CircuitEncoder(SolverBackend& solver) : solver_(solver) {}
 
 CircuitEncoder::~CircuitEncoder() = default;
 
@@ -105,6 +93,41 @@ Lit CircuitEncoder::constant(bool value) {
 }
 
 void CircuitEncoder::contradict() { solver_.add_clause(Clause{}); }
+
+void CircuitEncoder::count_since(std::uint64_t v0, std::uint64_t c0,
+                                 std::uint64_t agreements) {
+    const std::uint64_t dv = num_vars(solver_) - v0;
+    const std::uint64_t dc = num_clauses(solver_) - c0;
+    stats_.vars += dv;
+    stats_.clauses += dc;
+    if (agreements == 0) return;
+    stats_.agreement_vars += dv;
+    stats_.agreement_clauses += dc;
+    stats_.agreements += agreements;
+}
+
+Lit CircuitEncoder::add_xor(Lit a, Lit b) {
+    const std::uint64_t v0 = num_vars(solver_), c0 = num_clauses(solver_);
+    const Lit y =
+        realize(encode_fn(core::Bool2::XOR(), xlit_of(a), xlit_of(b)));
+    count_since(v0, c0);
+    return y;
+}
+
+Lit CircuitEncoder::add_or(const std::vector<Lit>& xs) {
+    const std::uint64_t v0 = num_vars(solver_), c0 = num_clauses(solver_);
+    XLit acc = XLit::constant(false);
+    for (const Lit x : xs) acc = encode_fn(core::Bool2::OR(), acc, xlit_of(x));
+    const Lit y = realize(acc);
+    count_since(v0, c0);
+    return y;
+}
+
+void CircuitEncoder::fix_var(Var v, bool value) {
+    const std::uint64_t v0 = num_vars(solver_), c0 = num_clauses(solver_);
+    solver_.add_clause(equal(v, value));
+    count_since(v0, c0);
+}
 
 CircuitEncoder::XLit CircuitEncoder::xlit_of(Lit l) const {
     // Map the shared constant literal back to an encode-time constant so
@@ -269,34 +292,12 @@ CircuitEncoder::XLit CircuitEncoder::encode_camo(const netlist::CamoCell& cell,
 Encoding CircuitEncoder::encode(const netlist::Netlist& nl,
                                 const std::vector<Var>& shared_pis,
                                 const std::vector<Var>& shared_keys) {
-    const auto v0 = static_cast<std::uint64_t>(solver_.num_vars());
-    const auto c0 = static_cast<std::uint64_t>(solver_.num_clauses());
-
-    Encoding enc;
-    if (mode_ == EncoderMode::Legacy) {
-        CircuitEncoding ce = encode_circuit(solver_, nl, shared_pis, shared_keys);
-        enc.pis = std::move(ce.pis);
-        enc.keys = std::move(ce.keys);
-        enc.key_offset = std::move(ce.key_offset);
-        enc.outs.reserve(ce.outs.size());
-        for (const Var v : ce.outs) enc.outs.push_back(Lit(v, false));
-    } else {
-        enc = encode_compact(nl, shared_pis, shared_keys);
-    }
-
-    stats_.vars += static_cast<std::uint64_t>(solver_.num_vars()) - v0;
-    stats_.clauses += static_cast<std::uint64_t>(solver_.num_clauses()) - c0;
-    return enc;
-}
-
-Encoding CircuitEncoder::encode_compact(const netlist::Netlist& nl,
-                                        const std::vector<Var>& shared_pis,
-                                        const std::vector<Var>& shared_keys) {
     if (!nl.dffs().empty())
         throw std::invalid_argument(
             "CircuitEncoder: netlist is sequential; apply unroll_for_scan first");
     if (!shared_pis.empty() && shared_pis.size() != nl.inputs().size())
         throw std::invalid_argument("CircuitEncoder: shared_pis size mismatch");
+    const std::uint64_t v0 = num_vars(solver_), c0 = num_clauses(solver_);
 
     Encoding enc;
     std::vector<XLit> val(nl.size(), XLit::constant(false));
@@ -355,6 +356,7 @@ Encoding CircuitEncoder::encode_compact(const netlist::Netlist& nl,
     enc.outs.reserve(nl.outputs().size());
     for (const netlist::PortRef& po : nl.outputs())
         enc.outs.push_back(realize(val[po.gate]));
+    count_since(v0, c0);
     return enc;
 }
 
@@ -362,36 +364,12 @@ void CircuitEncoder::add_agreement(const netlist::Netlist& nl,
                                    const std::vector<Var>& keys,
                                    const std::vector<bool>& x,
                                    const std::vector<bool>& y) {
-    const auto v0 = static_cast<std::uint64_t>(solver_.num_vars());
-    const auto c0 = static_cast<std::uint64_t>(solver_.num_clauses());
-
-    if (mode_ == EncoderMode::Legacy) {
-        // Byte-for-byte the historical agreement: a fixed fresh variable per
-        // input bit, a full circuit copy, outputs pinned by unit clauses.
-        std::vector<Var> xvars;
-        xvars.reserve(x.size());
-        for (const bool bit : x) {
-            const Var v = solver_.new_var();
-            fix_var(solver_, v, bit);
-            xvars.push_back(v);
-        }
-        const CircuitEncoding enc = encode_circuit(solver_, nl, xvars, keys);
-        for (std::size_t o = 0; o < enc.outs.size(); ++o)
-            fix_var(solver_, enc.outs[o], y[o]);
-    } else {
-        // Cone-restricted sweep: only the steps feeding the key-cone
-        // frontier and the primary outputs run, which is exactly the set
-        // add_agreement_compact reads.
-        add_agreement_compact(nl, keys, x, y, sim_for(nl).run_frontier_single(x));
-    }
-
-    const auto dv = static_cast<std::uint64_t>(solver_.num_vars()) - v0;
-    const auto dc = static_cast<std::uint64_t>(solver_.num_clauses()) - c0;
-    stats_.vars += dv;
-    stats_.clauses += dc;
-    stats_.agreement_vars += dv;
-    stats_.agreement_clauses += dc;
-    ++stats_.agreements;
+    const std::uint64_t v0 = num_vars(solver_), c0 = num_clauses(solver_);
+    // Cone-restricted sweep: only the steps feeding the key-cone frontier
+    // and the primary outputs run, which is exactly the set
+    // encode_agreement reads.
+    encode_agreement(nl, keys, x, y, sim_for(nl).run_frontier_single(x));
+    count_since(v0, c0, 1);
 }
 
 void CircuitEncoder::add_agreement_pair(const netlist::Netlist& nl,
@@ -399,25 +377,11 @@ void CircuitEncoder::add_agreement_pair(const netlist::Netlist& nl,
                                         const std::vector<Var>& keys2,
                                         const std::vector<bool>& x,
                                         const std::vector<bool>& y) {
-    if (mode_ == EncoderMode::Legacy) {
-        add_agreement(nl, keys1, x, y);
-        add_agreement(nl, keys2, x, y);
-        return;
-    }
-    const auto v0 = static_cast<std::uint64_t>(solver_.num_vars());
-    const auto c0 = static_cast<std::uint64_t>(solver_.num_clauses());
-
+    const std::uint64_t v0 = num_vars(solver_), c0 = num_clauses(solver_);
     const std::span<const char> values = sim_for(nl).run_frontier_single(x);
-    add_agreement_compact(nl, keys1, x, y, values);
-    add_agreement_compact(nl, keys2, x, y, values);
-
-    const auto dv = static_cast<std::uint64_t>(solver_.num_vars()) - v0;
-    const auto dc = static_cast<std::uint64_t>(solver_.num_clauses()) - c0;
-    stats_.vars += dv;
-    stats_.clauses += dc;
-    stats_.agreement_vars += dv;
-    stats_.agreement_clauses += dc;
-    stats_.agreements += 2;
+    encode_agreement(nl, keys1, x, y, values);
+    encode_agreement(nl, keys2, x, y, values);
+    count_since(v0, c0, 2);
 }
 
 void CircuitEncoder::add_agreement_batch(
@@ -426,12 +390,6 @@ void CircuitEncoder::add_agreement_batch(
     const std::vector<std::vector<bool>>& ys) {
     if (xs.size() != ys.size())
         throw std::invalid_argument("CircuitEncoder: batch size mismatch");
-    if (mode_ == EncoderMode::Legacy) {
-        for (std::size_t i = 0; i < xs.size(); ++i)
-            for (const std::vector<Var>& keys : keys_list)
-                add_agreement(nl, keys, xs[i], ys[i]);
-        return;
-    }
     const std::size_t n_pis = nl.inputs().size();
     const netlist::Simulator& sim = sim_for(nl);
     const std::vector<GateId>& reads = nl.frontier_read_set();
@@ -457,28 +415,20 @@ void CircuitEncoder::add_agreement_batch(
             for (const GateId g : reads)
                 values[g] = static_cast<char>(
                     (words[std::size_t{g} * n_words + w] >> bit) & 1);
-            const auto v0 = static_cast<std::uint64_t>(solver_.num_vars());
-            const auto c0 = static_cast<std::uint64_t>(solver_.num_clauses());
+            const std::uint64_t v0 = num_vars(solver_);
+            const std::uint64_t c0 = num_clauses(solver_);
             for (const std::vector<Var>& keys : keys_list)
-                add_agreement_compact(nl, keys, xs[base + j], ys[base + j],
-                                      values);
-            const auto dv = static_cast<std::uint64_t>(solver_.num_vars()) - v0;
-            const auto dc =
-                static_cast<std::uint64_t>(solver_.num_clauses()) - c0;
-            stats_.vars += dv;
-            stats_.clauses += dc;
-            stats_.agreement_vars += dv;
-            stats_.agreement_clauses += dc;
-            stats_.agreements += keys_list.size();
+                encode_agreement(nl, keys, xs[base + j], ys[base + j], values);
+            count_since(v0, c0, keys_list.size());
         }
     }
 }
 
-void CircuitEncoder::add_agreement_compact(const netlist::Netlist& nl,
-                                           const std::vector<Var>& keys,
-                                           const std::vector<bool>& x,
-                                           const std::vector<bool>& y,
-                                           std::span<const char> values) {
+void CircuitEncoder::encode_agreement(const netlist::Netlist& nl,
+                                      const std::vector<Var>& keys,
+                                      const std::vector<bool>& x,
+                                      const std::vector<bool>& y,
+                                      std::span<const char> values) {
     if (x.size() != nl.inputs().size())
         throw std::invalid_argument("CircuitEncoder: agreement input size mismatch");
     if (y.size() != nl.outputs().size())
@@ -553,81 +503,44 @@ void CircuitEncoder::add_difference_impl(const std::vector<Lit>& a,
                                          std::optional<Lit> guard) {
     if (a.size() != b.size())
         throw std::invalid_argument("CircuitEncoder: add_difference size mismatch");
-    const auto v0 = static_cast<std::uint64_t>(solver_.num_vars());
-    const auto c0 = static_cast<std::uint64_t>(solver_.num_clauses());
-
-    if (mode_ == EncoderMode::Legacy) {
-        std::vector<Var> av;
-        std::vector<Var> bv;
-        av.reserve(a.size());
-        bv.reserve(b.size());
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            if (a[i].negated() || b[i].negated())
-                throw std::logic_error(
-                    "CircuitEncoder: legacy encodings carry positive literals only");
-            av.push_back(a[i].var());
-            bv.push_back(b[i].var());
+    const std::uint64_t v0 = num_vars(solver_), c0 = num_clauses(solver_);
+    // XOR each pair through the folding/hashing machinery, then demand
+    // one true. A constant-true XOR discharges the constraint outright;
+    // all-constant-false means the vectors are provably equal.
+    Clause any;
+    bool satisfied = false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const XLit d =
+            encode_fn(core::Bool2::XOR(), xlit_of(a[i]), xlit_of(b[i]));
+        if (d.is_const()) {
+            if (d.const_value()) satisfied = true;
+            continue;
         }
-        if (!guard) {
-            sat::add_difference(solver_, av, bv);
+        any.push_back(d.as_lit());
+    }
+    if (!satisfied) {
+        if (any.empty()) {
+            // Provably equal: unguarded, the formula is refuted at the
+            // root; guarded, only the selector is forced off (the DIP
+            // solve under {guard} answers Unsat, extraction under
+            // {~guard} proceeds).
+            if (guard)
+                solver_.add_clause(~*guard);
+            else
+                contradict();
         } else {
-            // Same XOR/OR ladder, but the final assertion carries the guard:
-            // "guard => the copies differ somewhere" instead of a unit.
-            std::vector<Var> diffs;
-            diffs.reserve(av.size());
-            for (std::size_t i = 0; i < av.size(); ++i)
-                diffs.push_back(add_xor(solver_, av[i], bv[i]));
-            const Var any = add_or(solver_, diffs);
-            solver_.add_clause(~*guard, Lit(any, false));
-        }
-    } else {
-        // XOR each pair through the folding/hashing machinery, then demand
-        // one true. A constant-true XOR discharges the constraint outright;
-        // all-constant-false means the vectors are provably equal.
-        Clause any;
-        bool satisfied = false;
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            const XLit d =
-                encode_fn(core::Bool2::XOR(), xlit_of(a[i]), xlit_of(b[i]));
-            if (d.is_const()) {
-                if (d.const_value()) satisfied = true;
-                continue;
-            }
-            any.push_back(d.as_lit());
-        }
-        if (!satisfied) {
-            if (any.empty()) {
-                // Provably equal: unguarded, the formula is refuted at the
-                // root; guarded, only the selector is forced off (the DIP
-                // solve under {guard} answers Unsat, extraction under
-                // {~guard} proceeds).
-                if (guard)
-                    solver_.add_clause(~*guard);
-                else
-                    contradict();
-            } else {
-                if (guard) any.push_back(~*guard);
-                solver_.add_clause(std::move(any));
-            }
+            if (guard) any.push_back(~*guard);
+            solver_.add_clause(std::move(any));
         }
     }
 
-    stats_.vars += static_cast<std::uint64_t>(solver_.num_vars()) - v0;
-    stats_.clauses += static_cast<std::uint64_t>(solver_.num_clauses()) - c0;
+    count_since(v0, c0);
 }
 
 void CircuitEncoder::add_difference(const std::vector<Var>& a,
                                     const std::vector<Var>& b) {
     if (a.size() != b.size())
         throw std::invalid_argument("CircuitEncoder: add_difference size mismatch");
-    if (mode_ == EncoderMode::Legacy) {
-        const auto v0 = static_cast<std::uint64_t>(solver_.num_vars());
-        const auto c0 = static_cast<std::uint64_t>(solver_.num_clauses());
-        sat::add_difference(solver_, a, b);
-        stats_.vars += static_cast<std::uint64_t>(solver_.num_vars()) - v0;
-        stats_.clauses += static_cast<std::uint64_t>(solver_.num_clauses()) - c0;
-        return;
-    }
     std::vector<Lit> al;
     std::vector<Lit> bl;
     al.reserve(a.size());

@@ -92,6 +92,19 @@ struct ScratchJournal {
     }
 };
 
+/// `line` as a writer of journal format `version` would have stamped it.
+std::string with_version(std::string line, std::uint64_t version) {
+    const std::string current =
+        "\"v\":" + std::to_string(checkpoint::kJournalVersion);
+    const std::size_t at = line.find(current);
+    if (at == std::string::npos) {
+        ADD_FAILURE() << "no version field in " << line;
+        return line;
+    }
+    return line.replace(at, current.size(),
+                        "\"v\":" + std::to_string(version));
+}
+
 JobResult sample_result() {
     JobResult r;
     r.index = 7;
@@ -124,6 +137,7 @@ JobResult sample_result() {
     r.oracle_stats.patterns = 1092;
     r.oracle_stats.seconds = 0.0625;
     r.oracle_stats.batch_log2_hist = {4, 0, 1, 0, 0, 0, 16};
+    r.oracle_cache.lanes_deduped = 41;
     return r;
 }
 
@@ -226,6 +240,7 @@ void expect_results_equal(const JobResult& a, const JobResult& b) {
     EXPECT_EQ(a.oracle_stats.patterns, b.oracle_stats.patterns);
     EXPECT_EQ(a.oracle_stats.seconds, b.oracle_stats.seconds);
     EXPECT_EQ(a.oracle_stats.batch_log2_hist, b.oracle_stats.batch_log2_hist);
+    EXPECT_EQ(a.oracle_cache.lanes_deduped, b.oracle_cache.lanes_deduped);
 }
 
 // ---- JSON parser ------------------------------------------------------------
@@ -307,7 +322,8 @@ TEST(CheckpointRecord, UnknownFieldsAreTolerated) {
         ASSERT_NE(at, std::string::npos) << anchor;
         line.insert(at + anchor.size(), extra);
     };
-    inject_after("{\"v\":1", ",\"future\":{\"nested\":[1,\"two\",null]}");
+    inject_after("{\"v\":" + std::to_string(checkpoint::kJournalVersion),
+                 ",\"future\":{\"nested\":[1,\"two\",null]}");
     inject_after("\"spec\":{", "\"new_spec_field\":3.5,");
     inject_after("\"result\":{", "\"gpu_seconds\":0.1,");
 
@@ -326,9 +342,7 @@ TEST(CheckpointRecord, MalformedAndWrongVersionRejected) {
         EXPECT_FALSE(checkpoint::decode_record(good.substr(0, keep)).has_value())
             << keep;
     // Unsupported version.
-    std::string wrong_version = good;
-    wrong_version.replace(wrong_version.find("\"v\":1"), 5, "\"v\":9");
-    EXPECT_FALSE(checkpoint::decode_record(wrong_version).has_value());
+    EXPECT_FALSE(checkpoint::decode_record(with_version(good, 9)).has_value());
     // Bad status string.
     std::string bad_status = good;
     const std::string needle = "\"status\":\"inconsistent\"";
@@ -447,6 +461,52 @@ TEST(CheckpointResume, StaleRecordsAreIgnoredAndDropped) {
         for (const auto& record : records) found = found || record.key == expect;
         EXPECT_TRUE(found) << i;
     }
+}
+
+TEST(CheckpointResume, VersionOneRecordOfTheSameSpecIsDroppedAndReruns) {
+    // A default spec serializes to the same JSON, and so to the same job
+    // key, as under journal version 1, when it named a different attack
+    // pipeline. A version-1 record must therefore be refused, never
+    // replayed as a result of the current pipeline.
+    const auto jobs = matrix12();
+    const std::string spec = checkpoint::spec_json(jobs[0]);
+    for (const char* gone : {"encoder", "extraction", "dip_support"})
+        EXPECT_EQ(spec.find(gone), std::string::npos) << gone;
+
+    ScratchJournal scratch("v1");
+    const CampaignResult full =
+        CampaignRunner(test_options(1, scratch.path)).run(jobs);
+    const std::string golden_csv = campaign_csv(full);
+    std::vector<std::string> journal = scratch.lines();
+    ASSERT_EQ(journal.size(), 12u);
+
+    // One record as a version-1 writer would have left it: the same key
+    // and spec, with a result the current pipeline does not produce.
+    const auto record = checkpoint::decode_record(journal[3]);
+    ASSERT_TRUE(record.has_value());
+    const std::size_t index = record->result.index;
+    EXPECT_EQ(record->key, checkpoint::job_key(test_options(1).campaign_seed,
+                                               index, jobs[index]));
+    JobResult old_result = record->result;
+    old_result.result.iterations += 1000;
+    journal[3] = with_version(
+        checkpoint::encode_record(record->key, record->spec, old_result,
+                                  record->stamp),
+        1);
+    EXPECT_FALSE(checkpoint::decode_record(journal[3]).has_value());
+    scratch.write_lines(journal);
+
+    const CampaignResult resumed =
+        CampaignRunner(test_options(1, scratch.path)).run(jobs);
+    EXPECT_EQ(resumed.resumed, 11u);  // that one job ran again
+    EXPECT_EQ(resumed.jobs[index].result.iterations,
+              full.jobs[index].result.iterations);
+    EXPECT_EQ(campaign_csv(resumed), golden_csv);
+    // The rebuilt journal holds only current-version records.
+    const std::vector<std::string> rebuilt = scratch.lines();
+    EXPECT_EQ(rebuilt.size(), 12u);
+    for (const std::string& line : rebuilt)
+        EXPECT_TRUE(checkpoint::decode_record(line).has_value()) << line;
 }
 
 TEST(CheckpointResume, ResumeDisabledStartsFresh) {

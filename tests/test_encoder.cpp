@@ -1,28 +1,35 @@
-// Tests for the compact CNF encoder (sat/encoder.hpp): constant folding,
-// structural hashing, the shared constant variable, key-cone agreement
-// reduction, and — the acceptance criteria — that compact-mode attacks
-// admit exactly the keys legacy encoding admits (200 randomized camouflaged
-// netlists plus the deterministic defense families), and that compact-mode
-// campaign CSVs keep the byte-identity contract across thread counts and
-// checkpoint resume against their own compact baseline.
+// Tests for the CNF encoder (sat/encoder.hpp) and the attack pipeline built
+// on it, checked against ground truth rather than against another encoder:
+//
+//  * constant folding, structural hashing and the shared constant variable;
+//  * every encoded circuit and camouflaged cell evaluates like the
+//    simulator / the keyed candidate function;
+//  * key-cone agreements admit exactly the keys a brute-force enumeration
+//    through the simulator finds consistent with the observations;
+//  * every key the attacks recover — 200 randomized camouflaged netlists
+//    plus the deterministic defense families — is formally equivalent to
+//    the defender's circuit (check_key_equivalence);
+//  * campaign CSVs stay byte-identical across thread counts and across a
+//    checkpoint resume.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "attack/miter_detail.hpp"
+#include "attack/equivalence.hpp"
 #include "attack/oracle.hpp"
 #include "attack/sat_attack.hpp"
 #include "camo/cell_library.hpp"
 #include "camo/protect.hpp"
 #include "engine/campaign.hpp"
 #include "engine/checkpoint.hpp"
+#include "engine/defense.hpp"
 #include "engine/report.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/netlist.hpp"
+#include "netlist/simulator.hpp"
 #include "sat/encoder.hpp"
 #include "sat/solver.hpp"
 
@@ -36,7 +43,6 @@ using engine::DefenseConfig;
 using engine::JobSpec;
 using netlist::Netlist;
 using sat::CircuitEncoder;
-using sat::EncoderMode;
 using sat::Lit;
 using sat::SolveResult;
 using sat::Var;
@@ -58,38 +64,36 @@ Netlist tiny_circuit(const std::string& name) {
     return netlist::random_circuit(spec, name);
 }
 
-// ---- mode registry ----------------------------------------------------------
-
-TEST(EncoderMode, NamesRoundTrip) {
-    EXPECT_EQ(sat::encoder_mode_name(EncoderMode::Legacy), "legacy");
-    EXPECT_EQ(sat::encoder_mode_name(EncoderMode::Compact), "compact");
-    EXPECT_EQ(sat::encoder_mode_from_name("legacy"), EncoderMode::Legacy);
-    EXPECT_EQ(sat::encoder_mode_from_name("compact"), EncoderMode::Compact);
-    EXPECT_FALSE(sat::encoder_mode_from_name("bogus").has_value());
-    EXPECT_EQ(sat::encoder_mode_names(),
-              (std::vector<std::string>{"legacy", "compact"}));
+/// The key whose bit i is bit i of `index`.
+camo::Key key_of_index(std::size_t index, std::size_t bits) {
+    camo::Key key;
+    for (std::size_t b = 0; b < bits; ++b) key.bits.push_back(((index >> b) & 1) != 0);
+    return key;
 }
 
-TEST(EncoderMode, ResolveThrowsListingKnownModes) {
-    EXPECT_THROW(attack::detail::resolve_encoder_mode("bogus"),
-                 std::invalid_argument);
-    attack::AttackOptions opt;
-    opt.encoder = "quantum";
-    EXPECT_THROW(attack::detail::resolve_encoder_mode(opt),
-                 std::invalid_argument);
-    try {
-        attack::detail::resolve_encoder_mode("bogus");
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("legacy"), std::string::npos);
-        EXPECT_NE(what.find("compact"), std::string::npos);
-    }
+/// Ground truth by enumeration: whether the circuit under `key` maps every
+/// recorded input to its recorded output (at most 64 observations, packed
+/// into one simulator sweep).
+bool simulates_consistently(const Netlist& nl, const camo::Key& key,
+                            const std::vector<std::vector<bool>>& xs,
+                            const std::vector<std::vector<bool>>& ys) {
+    const auto fns = camo::functions_for_key(nl, key);
+    if (!fns) return false;  // an unused code: the encoder forbids it
+    std::vector<std::uint64_t> pi(nl.inputs().size(), 0);
+    for (std::size_t j = 0; j < xs.size(); ++j)
+        for (std::size_t i = 0; i < pi.size(); ++i)
+            if (xs[j][i]) pi[i] |= std::uint64_t{1} << j;
+    const std::vector<std::uint64_t> out =
+        netlist::Simulator(nl).run_with_functions(pi, *fns);
+    for (std::size_t j = 0; j < ys.size(); ++j)
+        for (std::size_t o = 0; o < out.size(); ++o)
+            if ((((out[o] >> j) & 1) != 0) != ys[j][o]) return false;
+    return true;
 }
 
 // ---- constant folding -------------------------------------------------------
 
-TEST(CompactEncoder, FoldsConstantInputsThroughGates) {
+TEST(Encoder, FoldsConstantInputsThroughGates) {
     Netlist nl("fold");
     const auto a = nl.add_input("a");
     const auto one = nl.add_const(true);
@@ -97,7 +101,7 @@ TEST(CompactEncoder, FoldsConstantInputsThroughGates) {
     nl.add_output(g, "o");
 
     sat::Solver s;
-    CircuitEncoder enc(s, EncoderMode::Compact);
+    CircuitEncoder enc(s);
     const sat::Encoding e = enc.encode(nl);
     // AND(a, 1) folds to a: one variable for the PI, zero clauses.
     ASSERT_EQ(e.pis.size(), 1u);
@@ -108,7 +112,7 @@ TEST(CompactEncoder, FoldsConstantInputsThroughGates) {
     EXPECT_GE(enc.stats().gates_folded, 2u);  // the Const1 and the AND
 }
 
-TEST(CompactEncoder, FoldsInverterChainsToInputLiterals) {
+TEST(Encoder, FoldsInverterChainsToInputLiterals) {
     Netlist nl("inv");
     const auto a = nl.add_input("a");
     const auto n1 = nl.add_unary(Bool2::NOT_A(), a, "n1");
@@ -117,7 +121,7 @@ TEST(CompactEncoder, FoldsInverterChainsToInputLiterals) {
     nl.add_output(n2, "even");
 
     sat::Solver s;
-    CircuitEncoder enc(s, EncoderMode::Compact);
+    CircuitEncoder enc(s);
     const sat::Encoding e = enc.encode(nl);
     // Both inverters are polarity bookkeeping: no gate variables at all.
     EXPECT_EQ(e.outs[0], Lit(e.pis[0], true));
@@ -126,7 +130,7 @@ TEST(CompactEncoder, FoldsInverterChainsToInputLiterals) {
     EXPECT_EQ(enc.stats().clauses, 0u);
 }
 
-TEST(CompactEncoder, FoldsComplementInputsToAConstant) {
+TEST(Encoder, FoldsComplementInputsToAConstant) {
     Netlist nl("contradiction");
     const auto a = nl.add_input("a");
     const auto na = nl.add_unary(Bool2::NOT_A(), a, "na");
@@ -134,7 +138,7 @@ TEST(CompactEncoder, FoldsComplementInputsToAConstant) {
     nl.add_output(g, "o");
 
     sat::Solver s;
-    CircuitEncoder enc(s, EncoderMode::Compact);
+    CircuitEncoder enc(s);
     const sat::Encoding e = enc.encode(nl);
     // AND(a, !a) is constant false regardless of a; the realized output
     // literal must evaluate false in every model.
@@ -147,7 +151,7 @@ TEST(CompactEncoder, FoldsComplementInputsToAConstant) {
 
 // ---- structural hashing -----------------------------------------------------
 
-TEST(CompactEncoder, HashSharesCommutedAndComplementedGates) {
+TEST(Encoder, HashSharesCommutedAndComplementedGates) {
     Netlist nl("hash");
     const auto a = nl.add_input("a");
     const auto b = nl.add_input("b");
@@ -161,7 +165,7 @@ TEST(CompactEncoder, HashSharesCommutedAndComplementedGates) {
     nl.add_output(g4, "o4");
 
     sat::Solver s;
-    CircuitEncoder enc(s, EncoderMode::Compact);
+    CircuitEncoder enc(s);
     const sat::Encoding e = enc.encode(nl);
     // One gate variable serves all four outputs.
     EXPECT_EQ(enc.stats().vars, 3u);  // 2 PIs + 1 AND node
@@ -171,7 +175,7 @@ TEST(CompactEncoder, HashSharesCommutedAndComplementedGates) {
     EXPECT_EQ(e.outs[3], ~e.outs[0]);
 }
 
-TEST(CompactEncoder, HashAbsorbsInputPolarity) {
+TEST(Encoder, HashAbsorbsInputPolarity) {
     Netlist nl("polarity");
     const auto a = nl.add_input("a");
     const auto b = nl.add_input("b");
@@ -182,7 +186,7 @@ TEST(CompactEncoder, HashAbsorbsInputPolarity) {
     nl.add_output(g2, "o2");
 
     sat::Solver s;
-    CircuitEncoder enc(s, EncoderMode::Compact);
+    CircuitEncoder enc(s);
     const sat::Encoding e = enc.encode(nl);
     EXPECT_EQ(e.outs[1], e.outs[0]);
     EXPECT_EQ(enc.stats().hash_hits, 1u);
@@ -190,9 +194,9 @@ TEST(CompactEncoder, HashAbsorbsInputPolarity) {
 
 // ---- shared constant variable ----------------------------------------------
 
-TEST(CompactEncoder, OneConstantVariableServesBothPolarities) {
+TEST(Encoder, OneConstantVariableServesBothPolarities) {
     sat::Solver s;
-    CircuitEncoder enc(s, EncoderMode::Compact);
+    CircuitEncoder enc(s);
     const Lit t = enc.constant(true);
     const Lit f = enc.constant(false);
     EXPECT_EQ(t.var(), f.var());
@@ -206,9 +210,9 @@ TEST(CompactEncoder, OneConstantVariableServesBothPolarities) {
     EXPECT_FALSE(lit_value(s, f));
 }
 
-// ---- semantics: compact CNF == simulator ------------------------------------
+// ---- semantics: CNF == simulator --------------------------------------------
 
-TEST(CompactEncoder, MatchesSimulatorOnRandomCircuits) {
+TEST(Encoder, MatchesSimulatorOnRandomCircuits) {
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         netlist::RandomSpec spec;
         spec.n_inputs = 10;
@@ -219,7 +223,7 @@ TEST(CompactEncoder, MatchesSimulatorOnRandomCircuits) {
         attack::ExactOracle oracle(nl);
 
         sat::Solver s;
-        CircuitEncoder enc(s, EncoderMode::Compact);
+        CircuitEncoder enc(s);
         const sat::Encoding e = enc.encode(nl);
         Rng rng(seed * 77 + 1);
         for (int trial = 0; trial < 4; ++trial) {
@@ -238,38 +242,33 @@ TEST(CompactEncoder, MatchesSimulatorOnRandomCircuits) {
     }
 }
 
-// ---- camouflaged cells: compact == legacy for every key ---------------------
+// ---- camouflaged cells: the key selects the candidate -----------------------
 
-TEST(CompactEncoder, CamoCellMatchesLegacyForEveryKeyAndInput) {
+TEST(Encoder, CamoCellComputesTheKeyedCandidateForEveryKeyAndInput) {
+    const Bool2 candidates[] = {Bool2::AND(), Bool2::OR(), Bool2::XOR(),
+                                Bool2::NAND()};
     Netlist nl("camo1");
     const auto a = nl.add_input("a");
     const auto b = nl.add_input("b");
     const auto g = nl.add_gate(Bool2::AND(), a, b, "g");
-    nl.camouflage(g, {Bool2::AND(), Bool2::OR(), Bool2::XOR(), Bool2::NAND()},
-                  "test");
+    nl.camouflage(g, {std::begin(candidates), std::end(candidates)}, "test");
     nl.add_output(g, "o");
 
-    sat::Solver legacy_s, compact_s;
-    CircuitEncoder legacy(legacy_s, EncoderMode::Legacy);
-    CircuitEncoder compact(compact_s, EncoderMode::Compact);
-    const sat::Encoding le = legacy.encode(nl);
-    const sat::Encoding ce = compact.encode(nl);
-    ASSERT_EQ(le.keys.size(), 2u);
-    ASSERT_EQ(ce.keys.size(), le.keys.size());
+    sat::Solver s;
+    CircuitEncoder enc(s);
+    const sat::Encoding e = enc.encode(nl);
+    ASSERT_EQ(e.keys.size(), 2u);
 
     for (int key = 0; key < 4; ++key)
         for (int pat = 0; pat < 4; ++pat) {
-            std::vector<Lit> la, ca;
+            std::vector<Lit> assume;
             for (int bit = 0; bit < 2; ++bit) {
-                la.push_back(pin(le.keys[bit], (key >> bit) & 1));
-                ca.push_back(pin(ce.keys[bit], (key >> bit) & 1));
-                la.push_back(pin(le.pis[bit], (pat >> bit) & 1));
-                ca.push_back(pin(ce.pis[bit], (pat >> bit) & 1));
+                assume.push_back(pin(e.keys[bit], (key >> bit) & 1));
+                assume.push_back(pin(e.pis[bit], (pat >> bit) & 1));
             }
-            ASSERT_EQ(legacy_s.solve(la), SolveResult::Sat);
-            ASSERT_EQ(compact_s.solve(ca), SolveResult::Sat);
-            EXPECT_EQ(lit_value(compact_s, ce.outs[0]),
-                      lit_value(legacy_s, le.outs[0]))
+            ASSERT_EQ(s.solve(assume), SolveResult::Sat);
+            EXPECT_EQ(lit_value(s, e.outs[0]),
+                      candidates[key].eval((pat & 1) != 0, (pat & 2) != 0))
                 << "key " << key << " pattern " << pat;
         }
 }
@@ -290,50 +289,61 @@ std::vector<bool> admitted_keys(sat::SolverBackend& s, const sat::Encoding& e) {
     return admitted;
 }
 
-TEST(CompactEncoder, AgreementAdmitsExactlyTheLegacyKeys) {
-    netlist::RandomSpec spec;
-    spec.n_inputs = 8;
-    spec.n_outputs = 5;
-    spec.n_gates = 30;
-    spec.seed = 404;
-    const Netlist plain = netlist::random_circuit(spec);
-    const camo::Protection prot = camo::apply_camouflage(
-        plain, camo::select_gates(plain, 0.10, 7), camo::gshe16(), 7);
-    attack::ExactOracle oracle(prot.netlist);
-    const std::size_t key_bits = [&] {
-        sat::Solver probe;
-        return CircuitEncoder(probe).encode(prot.netlist).keys.size();
-    }();
-    ASSERT_GE(key_bits, 2u);
-    ASSERT_LE(key_bits, 12u) << "matrix too large to enumerate";
+TEST(Agreement, AdmitsExactlyTheKeysBruteForceFindsConsistent) {
+    std::size_t instances = 0;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        netlist::RandomSpec spec;
+        spec.n_inputs = 8;
+        spec.n_outputs = 5;
+        spec.n_gates = 30;
+        spec.seed = 400 + seed;
+        const Netlist plain = netlist::random_circuit(spec);
+        const camo::Protection prot = camo::apply_camouflage(
+            plain, camo::select_gates(plain, 0.10, seed), camo::gshe16(),
+            seed);
+        const Netlist& nl = prot.netlist;
+        const std::size_t key_bits =
+            static_cast<std::size_t>(nl.key_bit_count());
+        if (key_bits < 2 || key_bits > 12) continue;  // enumerable only
+        ++instances;
+        attack::ExactOracle oracle(nl);
 
-    sat::Solver legacy_s, compact_s;
-    CircuitEncoder legacy(legacy_s, EncoderMode::Legacy);
-    CircuitEncoder compact(compact_s, EncoderMode::Compact);
-    const sat::Encoding le = legacy.encode(prot.netlist);
-    const sat::Encoding ce = compact.encode(prot.netlist);
+        sat::Solver s;
+        CircuitEncoder enc(s);
+        const sat::Encoding e = enc.encode(nl);
+        std::vector<std::vector<bool>> xs, ys;
+        Rng rng(99 + seed);
+        for (int dip = 0; dip < 4; ++dip) {
+            std::vector<bool> x(nl.inputs().size());
+            for (std::size_t i = 0; i < x.size(); ++i) x[i] = (rng() & 1) != 0;
+            const std::vector<bool> y = oracle.query_single(x);
+            enc.add_agreement(nl, e.keys, x, y);
+            xs.push_back(x);
+            ys.push_back(y);
 
-    Rng rng(99);
-    for (int dip = 0; dip < 4; ++dip) {
-        std::vector<bool> x(prot.netlist.inputs().size());
-        for (std::size_t i = 0; i < x.size(); ++i) x[i] = (rng() & 1) != 0;
-        const std::vector<bool> y = oracle.query_single(x);
-        legacy.add_agreement(prot.netlist, le.keys, x, y);
-        compact.add_agreement(prot.netlist, ce.keys, x, y);
-        const std::vector<bool> want = admitted_keys(legacy_s, le);
-        EXPECT_EQ(admitted_keys(compact_s, ce), want) << "after DIP " << dip;
-        // The observation always remains consistent with at least one key.
-        EXPECT_NE(std::find(want.begin(), want.end(), true), want.end());
+            std::vector<bool> want(std::size_t{1} << key_bits);
+            for (std::size_t k = 0; k < want.size(); ++k)
+                want[k] = simulates_consistently(nl, key_of_index(k, key_bits),
+                                                 xs, ys);
+            EXPECT_EQ(admitted_keys(s, e), want)
+                << "seed " << seed << " after DIP " << dip;
+            // The true key always survives an exact oracle.
+            EXPECT_NE(std::find(want.begin(), want.end(), true), want.end());
+        }
+        // The cone mechanism engaged: only key-cone gates were encoded per
+        // agreement, everything else was simulated.
+        EXPECT_EQ(enc.stats().agreements, 4u);
+        EXPECT_EQ(enc.stats().cone_gates, 4 * nl.key_cone_size());
+        EXPECT_EQ(enc.stats().sim_gates,
+                  4 * (nl.logic_gate_count() - nl.key_cone_size()));
+        EXPECT_GT(enc.stats().sim_gates, 0u);
     }
-    // The cone mechanism actually engaged: some gates were simulated away.
-    EXPECT_GT(compact.stats().sim_gates, 0u);
-    EXPECT_GT(compact.stats().cone_gates, 0u);
-    EXPECT_LT(compact.stats().agreement_vars, legacy.stats().agreement_vars);
+    EXPECT_GE(instances, 6u);
 }
 
-// ---- randomized attack equivalence ------------------------------------------
+// ---- attack outcomes: formally equivalent keys ------------------------------
 
-TEST(CompactAttack, TwoHundredRandomCamoNetlistsAgreeWithLegacy) {
+TEST(Attack, TwoHundredRandomCamoNetlistsRecoverEquivalentKeys) {
     std::size_t with_keys = 0;
     for (std::uint64_t seed = 1; seed <= 200; ++seed) {
         netlist::RandomSpec spec;
@@ -345,26 +355,23 @@ TEST(CompactAttack, TwoHundredRandomCamoNetlistsAgreeWithLegacy) {
         const camo::Protection prot = camo::apply_camouflage(
             plain, camo::select_gates(plain, 0.12, seed), camo::gshe16(),
             seed);
-        if (!prot.netlist.camo_cells().empty()) ++with_keys;
+        if (prot.netlist.camo_cells().empty()) continue;
+        ++with_keys;
 
-        attack::AttackResult results[2];
-        for (int m = 0; m < 2; ++m) {
-            attack::ExactOracle oracle(prot.netlist);
-            attack::AttackOptions opt;
-            opt.encoder = m == 0 ? "legacy" : "compact";
-            results[m] = attack::sat_attack(prot.netlist, oracle, opt);
-        }
-        ASSERT_EQ(results[0].status, attack::AttackResult::Status::Success)
+        attack::ExactOracle oracle(prot.netlist);
+        const attack::AttackResult r =
+            attack::sat_attack(prot.netlist, oracle, attack::AttackOptions{});
+        ASSERT_EQ(r.status, attack::AttackResult::Status::Success)
             << "seed " << seed;
-        ASSERT_EQ(results[1].status, results[0].status) << "seed " << seed;
-        EXPECT_EQ(results[0].key_error_rate, 0.0) << "seed " << seed;
-        EXPECT_EQ(results[1].key_error_rate, 0.0) << "seed " << seed;
+        EXPECT_EQ(attack::check_key_equivalence(prot.netlist, r.key).status,
+                  attack::EquivStatus::Equivalent)
+            << "seed " << seed;
     }
     // The sweep exercised real key recovery, not 200 empty defenses.
     EXPECT_GT(with_keys, 150u);
 }
 
-TEST(CompactAttack, DeterministicDefenseFamiliesRecoverKeys) {
+TEST(Attack, DeterministicDefenseFamiliesRecoverEquivalentKeys) {
     DefenseConfig camo;
     camo.kind = "camo";
     camo.fraction = 0.12;
@@ -372,50 +379,46 @@ TEST(CompactAttack, DeterministicDefenseFamiliesRecoverKeys) {
     sarlock.kind = "sarlock";
     sarlock.sarlock_bits = 4;
 
-    engine::CampaignResult results[2];
-    for (int m = 0; m < 2; ++m) {
-        attack::AttackOptions opt;
-        opt.encoder = m == 0 ? "legacy" : "compact";
-        const std::vector<JobSpec> jobs = CampaignRunner::cross_product(
-            {"alpha", "beta"}, {camo, sarlock},
-            {"sat", "double_dip", "appsat"}, {1}, opt);
-        CampaignOptions options;
-        options.threads = 1;
-        options.netlist_provider = tiny_circuit;
-        results[m] = CampaignRunner(options).run(jobs);
-    }
-    ASSERT_EQ(results[0].jobs.size(), results[1].jobs.size());
-    for (std::size_t i = 0; i < results[0].jobs.size(); ++i) {
-        const engine::JobResult& l = results[0].jobs[i];
-        const engine::JobResult& c = results[1].jobs[i];
-        ASSERT_TRUE(l.error.empty() && c.error.empty())
-            << l.circuit << "/" << l.defense << "/" << l.attack;
-        EXPECT_EQ(c.result.status, l.result.status)
-            << l.circuit << "/" << l.defense << "/" << l.attack;
-        EXPECT_EQ(l.result.key_error_rate, 0.0)
-            << l.circuit << "/" << l.defense << "/" << l.attack;
-        EXPECT_EQ(c.result.key_error_rate, 0.0)
-            << c.circuit << "/" << c.defense << "/" << c.attack;
-        EXPECT_EQ(c.encoder, "compact");
-        EXPECT_EQ(l.encoder, "legacy");
+    const std::vector<JobSpec> jobs = CampaignRunner::cross_product(
+        {"alpha", "beta"}, {camo, sarlock}, {"sat", "double_dip", "appsat"},
+        {1}, attack::AttackOptions{});
+    CampaignOptions options;
+    options.threads = 1;
+    options.netlist_provider = tiny_circuit;
+    const engine::CampaignResult result = CampaignRunner(options).run(jobs);
+    ASSERT_EQ(result.jobs.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const engine::JobResult& j = result.jobs[i];
+        const std::string label = j.circuit + "/" + j.defense + "/" + j.attack;
+        ASSERT_TRUE(j.error.empty()) << label << ": " << j.error;
+        ASSERT_EQ(j.result.status, attack::AttackResult::Status::Success)
+            << label;
+        // Rebuild the exact defense instance the job attacked and prove
+        // the recovered key correct on it.
+        const engine::DefenseInstance instance = engine::DefenseFactory::build(
+            tiny_circuit(j.circuit), jobs[i].defense, j.derived_seed);
+        EXPECT_EQ(
+            attack::check_key_equivalence(*instance.netlist, j.result.key)
+                .status,
+            attack::EquivStatus::Equivalent)
+            << label;
     }
 }
 
-// ---- campaign byte-identity in compact mode ---------------------------------
+// ---- campaign byte-identity -------------------------------------------------
 
-std::vector<JobSpec> compact_matrix() {
+std::vector<JobSpec> pipeline_matrix() {
     DefenseConfig camo;
     camo.kind = "camo";
     camo.fraction = 0.12;
     camo.protect_seed = 0xC0DE;
-    attack::AttackOptions opt;
-    opt.encoder = "compact";
     return CampaignRunner::cross_product({"alpha", "beta"}, {camo},
-                                         {"sat", "double_dip"}, {1, 2}, opt);
+                                         {"sat", "double_dip", "appsat"},
+                                         {1, 2}, attack::AttackOptions{});
 }
 
-TEST(CompactCampaign, CsvByteIdenticalAcrossThreadCounts) {
-    const std::vector<JobSpec> jobs = compact_matrix();
+TEST(PipelineCampaign, CsvByteIdenticalAcrossThreadCounts) {
+    const std::vector<JobSpec> jobs = pipeline_matrix();
     std::vector<std::string> csvs;
     for (const int threads : {1, 8}) {
         CampaignOptions options;
@@ -428,14 +431,14 @@ TEST(CompactCampaign, CsvByteIdenticalAcrossThreadCounts) {
     EXPECT_NE(csvs[0].find("success"), std::string::npos);
 }
 
-TEST(CompactCampaign, ResumeReplaysByteIdentically) {
+TEST(PipelineCampaign, ResumeReplaysByteIdentically) {
     namespace fs = std::filesystem;
-    const fs::path dir = fs::temp_directory_path() / "gshe_encoder_resume";
+    const fs::path dir = fs::temp_directory_path() / "gshe_pipeline_resume";
     fs::remove_all(dir);
     fs::create_directories(dir);
     const std::string journal = (dir / "c.jsonl").string();
 
-    const std::vector<JobSpec> jobs = compact_matrix();
+    const std::vector<JobSpec> jobs = pipeline_matrix();
     CampaignOptions first;
     first.threads = 4;
     first.netlist_provider = tiny_circuit;
@@ -451,9 +454,8 @@ TEST(CompactCampaign, ResumeReplaysByteIdentically) {
     const engine::CampaignResult resumed = CampaignRunner(second).run(jobs);
     EXPECT_EQ(resumed.resumed, jobs.size());
     EXPECT_EQ(engine::campaign_csv(resumed), live);
-    // The encoder column and its counters round-tripped through the journal.
+    // The encoder counters round-tripped through the journal.
     for (const engine::JobResult& j : resumed.jobs) {
-        EXPECT_EQ(j.encoder, "compact");
         EXPECT_GT(j.result.encoder_stats.vars, 0u);
         EXPECT_GT(j.result.encoder_stats.cone_gates, 0u);
     }
@@ -465,11 +467,9 @@ TEST(CompactCampaign, ResumeReplaysByteIdentically) {
 TEST(CheckpointEncoder, StatFieldsRoundTripThroughARecord) {
     JobSpec spec;
     spec.circuit = "alpha";
-    spec.attack_options.encoder = "compact";
     engine::JobResult r;
     r.index = 2;
     r.circuit = "alpha";
-    r.encoder = "compact";
     r.result.status = attack::AttackResult::Status::Success;
     r.result.encoder_stats.vars = 101;
     r.result.encoder_stats.clauses = 202;
@@ -485,10 +485,7 @@ TEST(CheckpointEncoder, StatFieldsRoundTripThroughARecord) {
         engine::checkpoint::encode_record(42, spec, r, {});
     const auto decoded = engine::checkpoint::decode_record(line);
     ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(decoded->spec.attack_options.encoder, "compact");
-    const engine::JobResult& d = decoded->result;
-    EXPECT_EQ(d.encoder, "compact");
-    const sat::EncoderStats& es = d.result.encoder_stats;
+    const sat::EncoderStats& es = decoded->result.result.encoder_stats;
     EXPECT_EQ(es.vars, 101u);
     EXPECT_EQ(es.clauses, 202u);
     EXPECT_EQ(es.gates_folded, 3u);
@@ -498,24 +495,6 @@ TEST(CheckpointEncoder, StatFieldsRoundTripThroughARecord) {
     EXPECT_EQ(es.agreement_clauses, 77u);
     EXPECT_EQ(es.cone_gates, 88u);
     EXPECT_EQ(es.sim_gates, 99u);
-}
-
-TEST(CheckpointEncoder, LegacySpecJsonAndJobKeysAreUnchanged) {
-    JobSpec legacy;
-    legacy.circuit = "alpha";
-    // The default spec must not mention the encoder at all: job keys are
-    // fnv1a over this JSON, and pre-encoder journals must keep resuming.
-    EXPECT_EQ(engine::checkpoint::spec_json(legacy).find("encoder"),
-              std::string::npos);
-
-    JobSpec compact = legacy;
-    compact.attack_options.encoder = "compact";
-    const std::string json = engine::checkpoint::spec_json(compact);
-    EXPECT_NE(json.find("\"encoder\":\"compact\""), std::string::npos);
-    // Different encoder => different job identity: a compact journal can
-    // never satisfy a legacy campaign (or vice versa).
-    EXPECT_NE(engine::checkpoint::job_key(1, 0, legacy),
-              engine::checkpoint::job_key(1, 0, compact));
 }
 
 }  // namespace

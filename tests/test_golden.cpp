@@ -15,12 +15,10 @@
 //   GSHE_UPDATE_GOLDEN=1 ./test_golden   # then commit tests/golden/*.csv
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "engine/campaign.hpp"
 #include "engine/report.hpp"
@@ -97,87 +95,6 @@ void check_against_golden(const std::string& kind) {
         << "GSHE_UPDATE_GOLDEN=1 ./test_golden and commit the diff.";
 }
 
-// ---- added-columns-only chain ----------------------------------------------
-// Each refactor that extends the campaign CSV pins the goldens it found as a
-// pre_<name>/ snapshot; stripping exactly the columns it added from the next
-// snapshot in the chain must reproduce the pinned files byte for byte —
-// proving the rework changed reporting, not results.
-//
-//   pre_oracle_cache/  before the shared-oracle-service refactor (PR 5),
-//                      which added oracle_contract, oracle_group,
-//                      oracle_group_size, oracle_unique;
-//   pre_portfolio/     before the portfolio SAT backend (PR 6), which added
-//                      portfolio_winner, portfolio_width.
-
-std::string read_file(const std::string& path) {
-    std::ifstream f(path, std::ios::binary);
-    EXPECT_TRUE(f.good()) << "cannot read " << path;
-    std::ostringstream content;
-    content << f.rdbuf();
-    return content.str();
-}
-
-std::vector<std::string> split_csv_line(const std::string& line) {
-    // Golden rows contain no quoted cells (labels and statuses are
-    // comma-free and the error column is empty), so a plain split is exact.
-    std::vector<std::string> cells;
-    std::size_t start = 0;
-    while (start <= line.size()) {
-        const std::size_t end = line.find(',', start);
-        if (end == std::string::npos) {
-            cells.push_back(line.substr(start));
-            break;
-        }
-        cells.push_back(line.substr(start, end - start));
-        start = end + 1;
-    }
-    return cells;
-}
-
-void check_only_added_columns(const std::string& current_rel,
-                              const std::string& baseline_rel,
-                              const std::string& kind,
-                              const std::vector<std::string>& added) {
-    const std::string base = std::string(GSHE_GOLDEN_DIR) + "/";
-    auto read_lines = [](const std::string& path) {
-        std::istringstream in(read_file(path));
-        std::vector<std::string> lines;
-        std::string line;
-        while (std::getline(in, line)) lines.push_back(line);
-        return lines;
-    };
-    const std::vector<std::string> now =
-        read_lines(base + current_rel + kind + ".csv");
-    const std::vector<std::string> before =
-        read_lines(base + baseline_rel + kind + ".csv");
-    ASSERT_FALSE(now.empty());
-    ASSERT_EQ(now.size(), before.size()) << kind << ": row count changed";
-    const std::vector<std::string> header = split_csv_line(now.front());
-    // The added columns' positions, from the current header.
-    std::vector<std::size_t> drop;
-    for (const auto& name : added) {
-        const auto it = std::find(header.begin(), header.end(), name);
-        ASSERT_NE(it, header.end()) << name << " missing from " << kind;
-        drop.push_back(static_cast<std::size_t>(it - header.begin()));
-    }
-    auto strip = [&](const std::string& line) {
-        const std::vector<std::string> cells = split_csv_line(line);
-        std::string out;
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (std::find(drop.begin(), drop.end(), i) != drop.end())
-                continue;
-            if (!out.empty()) out += ',';
-            out += cells[i];
-        }
-        return out;
-    };
-
-    for (std::size_t row = 0; row < now.size(); ++row)
-        EXPECT_EQ(strip(now[row]), before[row])
-            << kind << " row " << row << " (" << baseline_rel
-            << "): pre-refactor goldens differ beyond the added columns";
-}
-
 TEST(Golden, CamoCampaignMatchesSnapshot) { check_against_golden("camo"); }
 
 TEST(Golden, SarlockCampaignMatchesSnapshot) {
@@ -190,20 +107,6 @@ TEST(Golden, StochasticCampaignMatchesSnapshot) {
 
 TEST(Golden, DynamicCampaignMatchesSnapshot) {
     check_against_golden("dynamic");
-}
-
-TEST(Golden, OracleColumnsAreTheOnlyDiffFromPreRefactorGoldens) {
-    for (const char* kind : {"camo", "sarlock", "stochastic", "dynamic"})
-        check_only_added_columns(
-            "pre_portfolio/", "pre_oracle_cache/", kind,
-            {"oracle_contract", "oracle_group", "oracle_group_size",
-             "oracle_unique"});
-}
-
-TEST(Golden, PortfolioColumnsAreTheOnlyDiffFromPrePortfolioGoldens) {
-    for (const char* kind : {"camo", "sarlock", "stochastic", "dynamic"})
-        check_only_added_columns("", "pre_portfolio/", kind,
-                                 {"portfolio_winner", "portfolio_width"});
 }
 
 }  // namespace

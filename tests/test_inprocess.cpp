@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "camo/cell_library.hpp"
+#include "camo/key.hpp"
 #include "camo/protect.hpp"
 #include "common/rng.hpp"
 #include "engine/campaign.hpp"
@@ -32,8 +33,8 @@
 #include "netlist/corpus.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/simulator.hpp"
+#include "sat/encoder.hpp"
 #include "sat/solver.hpp"
-#include "sat/tseitin.hpp"
 
 namespace gshe::sat {
 namespace {
@@ -149,6 +150,38 @@ TEST(InprocessCrossCheck, RandomXorSystemsAgreeWithBruteForce) {
 
 // ---- randomized cross-check: miters -----------------------------------------
 
+/// `nl` with a share of its gates camouflaged, plus the key that restores
+/// its function: mitered against `nl` under that key, it is equivalent but
+/// structurally different, so the encoder's hashing cannot refute the miter
+/// and the solver has to.
+struct KeyedCopy {
+    netlist::Netlist netlist;
+    camo::Key key;
+};
+
+KeyedCopy keyed_copy(const netlist::Netlist& nl, std::uint64_t seed) {
+    camo::Protection prot = camo::apply_camouflage(
+        nl, camo::select_gates(nl, 0.3, seed), camo::gshe16(), seed);
+    camo::Key key = camo::true_key(prot.netlist);
+    return {std::move(prot.netlist), std::move(key)};
+}
+
+/// Encodes the miter "a and b (keys pinned to `b_key`) differ on their
+/// first `n_outputs` outputs"; returns a's encoding.
+Encoding encode_miter(Solver& s, const netlist::Netlist& a,
+                      const netlist::Netlist& b, const camo::Key& b_key,
+                      std::size_t n_outputs) {
+    CircuitEncoder enc(s);
+    const Encoding ea = enc.encode(a);
+    const Encoding eb = enc.encode(b, ea.pis);
+    for (std::size_t i = 0; i < eb.keys.size(); ++i)
+        enc.fix_var(eb.keys[i], b_key.bits[i]);
+    enc.add_difference(
+        std::vector<Lit>(ea.outs.begin(), ea.outs.begin() + n_outputs),
+        std::vector<Lit>(eb.outs.begin(), eb.outs.begin() + n_outputs));
+    return ea;
+}
+
 TEST(InprocessCrossCheck, RandomMitersAgreeWithBaselineAndSimulator) {
     Rng rng(0xa11ce);
     int sat_seen = 0, unsat_seen = 0;
@@ -159,23 +192,21 @@ TEST(InprocessCrossCheck, RandomMitersAgreeWithBaselineAndSimulator) {
         spec.n_gates = 25 + static_cast<int>(rng.below(20));
         spec.seed = 1000 + static_cast<std::uint64_t>(trial);
         const netlist::Netlist a = netlist::random_circuit(spec, "a");
-        // Half the trials miter a circuit against itself (always UNSAT);
-        // the rest against an independent circuit (almost always SAT).
+        // Half the trials miter a circuit against its keyed camouflaged copy
+        // (always UNSAT); the rest against an independent circuit (almost
+        // always SAT).
         const bool self_miter = trial % 2 == 0;
         netlist::RandomSpec spec_b = spec;
         if (!self_miter) spec_b.seed += 7777;
-        const netlist::Netlist b = netlist::random_circuit(spec_b, "b");
+        const KeyedCopy b =
+            self_miter ? keyed_copy(a, spec.seed)
+                       : KeyedCopy{netlist::random_circuit(spec_b, "b"), {}};
 
         // random_circuit promotes dangling nodes to extra outputs, so the
         // output counts differ per seed; miter only the declared outputs.
-        const auto first_outs = [&](const CircuitEncoding& e) {
-            return std::vector<Var>(e.outs.begin(),
-                                    e.outs.begin() + spec.n_outputs);
-        };
+        const auto n_outs = static_cast<std::size_t>(spec.n_outputs);
         const auto run = [&](Solver& s) {
-            const CircuitEncoding ea = encode_circuit(s, a);
-            const CircuitEncoding eb = encode_circuit(s, b, ea.pis);
-            add_difference(s, first_outs(ea), first_outs(eb));
+            const Encoding ea = encode_miter(s, a, b.netlist, b.key, n_outs);
             return std::pair{s.solve(), ea};
         };
         Solver on(inprocess_all());
@@ -194,7 +225,7 @@ TEST(InprocessCrossCheck, RandomMitersAgreeWithBaselineAndSimulator) {
             for (std::size_t i = 0; i < pi.size(); ++i)
                 pi[i] = on.model_bool(enc_on.pis[i]);
             auto oa = netlist::Simulator(a).run_single(pi);
-            auto ob = netlist::Simulator(b).run_single(pi);
+            auto ob = netlist::Simulator(b.netlist).run_single(pi);
             oa.resize(static_cast<std::size_t>(spec.n_outputs));
             ob.resize(static_cast<std::size_t>(spec.n_outputs));
             ASSERT_NE(oa, ob) << "miter trial " << trial;
@@ -345,13 +376,12 @@ TEST(Inprocess, StatsRecordEachPass) {
     spec.n_gates = 120;
     spec.seed = 99;
     const netlist::Netlist nl = netlist::random_circuit(spec);
+    const KeyedCopy copy = keyed_copy(nl, 5);
     Solver s(inprocess_all());
-    const CircuitEncoding e1 = encode_circuit(s, nl);
-    const CircuitEncoding e2 = encode_circuit(s, nl, e1.pis);
-    add_difference(s, e1.outs, e2.outs);
-    EXPECT_EQ(s.solve(), Result::Unsat);  // a circuit equals itself
+    encode_miter(s, nl, copy.netlist, copy.key, nl.outputs().size());
+    EXPECT_EQ(s.solve(), Result::Unsat);  // the key restores the function
     EXPECT_GT(s.stats().inprocessings, 0u);
-    // Tseitin-encoded miters are XOR-rich by construction.
+    // The miter's output difference is a layer of XOR gates.
     EXPECT_GT(s.stats().xors_recovered, 0u);
 }
 
@@ -512,11 +542,14 @@ TEST(ArenaGc, VivifiedClauseSurvivesCompactionIntact) {
 
 // ---- pinned search trajectories ----------------------------------------------
 //
-// Every SolverStats counter of two fixed instances, recorded on the solver
-// before its clause storage became a flat arena. Any change to watcher
-// order, literal swaps, VSIDS heap ties, learnt-DB reduction or GC order
-// moves at least one of them. The golden CSVs only pin small runs that
-// never reduce or compact, so these are the tests that see such drift.
+// Every SolverStats counter of two fixed instances. The random 3-SAT pins
+// were recorded on the solver before its clause storage became a flat
+// arena; the camo-miter pins on the CircuitEncoder encoding of the same
+// miter, with the library as it was before the encoder lost its legacy
+// per-gate mode (so they pin the solver, not a new encoding). Any change
+// to watcher order, literal swaps, VSIDS heap ties, learnt-DB reduction or
+// GC order moves at least one of them. The golden CSVs only pin small runs
+// that never reduce or compact, so these are the tests that see such drift.
 
 using Counters = std::array<std::uint64_t, 11>;
 
@@ -538,13 +571,15 @@ Solver::Options inprocess_every_1024() {
 Result solve_camo_miter(Solver& s) {
     // The first-DIP miter of BM_SatSolveMiter: c7552 with 10% of its gates
     // camouflaged as GSHE-16 cells (7-literal clauses), two copies sharing
-    // the primary inputs, outputs forced to differ.
+    // the primary inputs (and, through structural hashing, every gate
+    // outside the key cone), outputs forced to differ.
     const auto nl = netlist::build_benchmark("c7552");
     const auto sel = camo::select_gates(nl, 0.10, 1);
     const auto prot = camo::apply_camouflage(nl, sel, camo::gshe16(), 1);
-    const CircuitEncoding e1 = encode_circuit(s, prot.netlist);
-    const CircuitEncoding e2 = encode_circuit(s, prot.netlist, e1.pis);
-    add_difference(s, e1.outs, e2.outs);
+    CircuitEncoder enc(s);
+    const Encoding e1 = enc.encode(prot.netlist);
+    const Encoding e2 = enc.encode(prot.netlist, e1.pis);
+    enc.add_difference(e1.outs, e2.outs);
     return s.solve();
 }
 
@@ -570,14 +605,14 @@ TEST(PinnedTrajectory, CamoMiterDefaultOptions) {
     Solver s;
     ASSERT_EQ(solve_camo_miter(s), Result::Sat);
     EXPECT_EQ(counters(s.stats()),
-              (Counters{35148, 115040, 442, 2, 441, 0, 0, 0, 0, 0, 0}));
+              (Counters{23818, 79852, 424, 2, 423, 0, 0, 0, 0, 0, 0}));
 }
 
 TEST(PinnedTrajectory, CamoMiterInprocessing) {
     Solver s(inprocess_every_1024());
     ASSERT_EQ(solve_camo_miter(s), Result::Sat);
     EXPECT_EQ(counters(s.stats()),
-              (Counters{5521, 193850, 143, 1, 143, 2520, 1, 0, 5161, 409, 298}));
+              (Counters{7979, 142617, 146, 1, 146, 1850, 1, 0, 4801, 260, 224}));
 }
 
 TEST(PinnedTrajectory, RandomThreeSatReducesAndCompacts) {

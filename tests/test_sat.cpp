@@ -1,4 +1,4 @@
-// Tests for the CDCL SAT solver, the Tseitin encoder, DIMACS I/O, and the
+// Tests for the CDCL SAT solver, the CNF encoder, DIMACS I/O, and the
 // pluggable backend layer (registry + DIMACS subprocess adapter):
 // unit-level behaviours, brute-force cross-checks on random formulas,
 // structured UNSAT instances, budgets, and encoder/simulator consistency.
@@ -14,8 +14,8 @@
 #include "sat/backend.hpp"
 #include "sat/dimacs.hpp"
 #include "sat/dimacs_backend.hpp"
+#include "sat/encoder.hpp"
 #include "sat/solver.hpp"
-#include "sat/tseitin.hpp"
 
 namespace gshe::sat {
 namespace {
@@ -97,11 +97,12 @@ TEST(Solver, SimpleUnsatCore) {
 TEST(Solver, XorChainSatisfiable) {
     // x0 ^ x1 ^ ... ^ x9 = 1 encoded through fresh XOR outputs.
     Solver s;
+    CircuitEncoder enc(s);
     std::vector<Var> xs;
     for (int i = 0; i < 10; ++i) xs.push_back(s.new_var());
-    Var acc = xs[0];
-    for (int i = 1; i < 10; ++i) acc = add_xor(s, acc, xs[i]);
-    s.add_clause(Lit(acc, false));
+    Lit acc(xs[0], false);
+    for (int i = 1; i < 10; ++i) acc = enc.add_xor(acc, Lit(xs[i], false));
+    s.add_clause(acc);
     ASSERT_EQ(s.solve(), Result::Sat);
     bool parity = false;
     for (Var v : xs) parity ^= s.model_bool(v);
@@ -340,9 +341,14 @@ INSTANTIATE_TEST_SUITE_P(
         SolverConfig{"no_learning", {.use_learning = false}}),
     [](const auto& info) { return std::string(info.param.name); });
 
-// ---- Tseitin encoder ---------------------------------------------------------------
+// ---- CNF encoder -------------------------------------------------------------------
 
-TEST(Tseitin, CircuitConsistentWithSimulator) {
+/// Model value of an encoder output literal.
+bool lit_value(const SolverBackend& s, Lit l) {
+    return s.model_bool(l.var()) != l.negated();
+}
+
+TEST(Encoder, CircuitConsistentWithSimulator) {
     netlist::RandomSpec spec;
     spec.n_inputs = 14;
     spec.n_outputs = 10;
@@ -353,7 +359,8 @@ TEST(Tseitin, CircuitConsistentWithSimulator) {
     Rng rng(6);
     for (int t = 0; t < 30; ++t) {
         Solver s;
-        const CircuitEncoding enc = encode_circuit(s, nl);
+        CircuitEncoder encoder(s);
+        const Encoding enc = encoder.encode(nl);
         std::vector<Lit> assume;
         std::vector<bool> pi(nl.inputs().size());
         for (std::size_t i = 0; i < pi.size(); ++i) {
@@ -363,11 +370,11 @@ TEST(Tseitin, CircuitConsistentWithSimulator) {
         ASSERT_EQ(s.solve(assume), Result::Sat);
         const auto expect = sim.run_single(pi);
         for (std::size_t o = 0; o < expect.size(); ++o)
-            ASSERT_EQ(s.model_bool(enc.outs[o]), expect[o]);
+            ASSERT_EQ(lit_value(s, enc.outs[o]), expect[o]);
     }
 }
 
-TEST(Tseitin, CamoGateKeySelectsFunction) {
+TEST(Encoder, CamoGateKeySelectsFunction) {
     using core::Bool2;
     netlist::Netlist nl("t");
     const auto a = nl.add_input("a");
@@ -377,7 +384,8 @@ TEST(Tseitin, CamoGateKeySelectsFunction) {
     nl.camouflage(g, {Bool2::AND(), Bool2::OR(), Bool2::XOR()}, "lib");
 
     Solver s;
-    const CircuitEncoding enc = encode_circuit(s, nl);
+    CircuitEncoder encoder(s);
+    const Encoding enc = encoder.encode(nl);
     ASSERT_EQ(enc.keys.size(), 2u);
     // For each valid key code, outputs must match the selected candidate.
     const Bool2 cands[] = {Bool2::AND(), Bool2::OR(), Bool2::XOR()};
@@ -391,7 +399,7 @@ TEST(Tseitin, CamoGateKeySelectsFunction) {
                     Lit(enc.pis[1], vb == 0),
                 };
                 ASSERT_EQ(s.solve(assume), Result::Sat);
-                ASSERT_EQ(s.model_bool(enc.outs[0]),
+                ASSERT_EQ(lit_value(s, enc.outs[0]),
                           cands[code].eval(va != 0, vb != 0))
                     << "code " << code << " a " << va << " b " << vb;
             }
@@ -401,7 +409,7 @@ TEST(Tseitin, CamoGateKeySelectsFunction) {
               Result::Unsat);
 }
 
-TEST(Tseitin, SharedPisCoupleInstances) {
+TEST(Encoder, SharedPisCoupleInstances) {
     netlist::RandomSpec spec;
     spec.n_inputs = 8;
     spec.n_outputs = 4;
@@ -409,39 +417,50 @@ TEST(Tseitin, SharedPisCoupleInstances) {
     spec.seed = 31;
     const netlist::Netlist nl = netlist::random_circuit(spec);
     Solver s;
-    const auto e1 = encode_circuit(s, nl);
-    const auto e2 = encode_circuit(s, nl, e1.pis);
+    CircuitEncoder encoder(s);
+    const auto e1 = encoder.encode(nl);
+    const auto e2 = encoder.encode(nl, e1.pis);
     // Two copies of the same plain circuit on the same inputs can never
-    // differ: forcing a difference must be UNSAT.
-    add_difference(s, e1.outs, e2.outs);
+    // differ: forcing a difference must be UNSAT. Structural hashing maps
+    // the second copy onto the first, so the encoder refutes it outright.
+    EXPECT_EQ(e2.outs, e1.outs);
+    encoder.add_difference(e1.outs, e2.outs);
     EXPECT_EQ(s.solve(), Result::Unsat);
 }
 
-TEST(Tseitin, RejectsSequentialNetlists) {
+TEST(Encoder, RejectsSequentialNetlists) {
     netlist::Netlist nl("seq");
     const auto d = nl.add_input("d");
     nl.add_dff(d, "ff");
     Solver s;
-    EXPECT_THROW(encode_circuit(s, nl), std::invalid_argument);
+    CircuitEncoder encoder(s);
+    EXPECT_THROW(encoder.encode(nl), std::invalid_argument);
 }
 
-TEST(Tseitin, HelperGates) {
+TEST(Encoder, HelperGates) {
     Solver s;
-    const Var a = s.new_var(), b = s.new_var();
-    const Var y = add_xor(s, a, b);
-    const Var o = add_or(s, {a, b});
-    for (int m = 0; m < 4; ++m) {
-        const bool va = m & 1, vb = m & 2;
-        ASSERT_EQ(s.solve({Lit(a, !va), Lit(b, !vb)}), Result::Sat);
-        EXPECT_EQ(s.model_bool(y), va != vb);
-        EXPECT_EQ(s.model_bool(o), va || vb);
+    CircuitEncoder encoder(s);
+    const Var a = s.new_var(), b = s.new_var(), c = s.new_var();
+    const Lit la(a, false), lb(b, false), lc(c, false);
+    const Lit y = encoder.add_xor(la, lb);
+    const Lit o = encoder.add_or({la, lb, lc});
+    for (int m = 0; m < 8; ++m) {
+        const bool va = m & 1, vb = m & 2, vc = m & 4;
+        ASSERT_EQ(s.solve({Lit(a, !va), Lit(b, !vb), Lit(c, !vc)}), Result::Sat);
+        EXPECT_EQ(lit_value(s, y), va != vb);
+        EXPECT_EQ(lit_value(s, o), va || vb || vc);
     }
+    // Degenerate inputs fold to constants.
+    EXPECT_EQ(encoder.add_xor(la, la), encoder.constant(false));
+    EXPECT_EQ(encoder.add_or({}), encoder.constant(false));
+    EXPECT_EQ(encoder.add_or({la, ~la}), encoder.constant(true));
 }
 
-TEST(Tseitin, FixVarPinsValue) {
+TEST(Encoder, FixVarPinsValue) {
     Solver s;
+    CircuitEncoder encoder(s);
     const Var v = s.new_var();
-    fix_var(s, v, true);
+    encoder.fix_var(v, true);
     ASSERT_EQ(s.solve(), Result::Sat);
     EXPECT_TRUE(s.model_bool(v));
     EXPECT_EQ(s.solve({Lit(v, true)}), Result::Unsat);
@@ -596,10 +615,11 @@ TEST(BackendRegistry, InternalBackendSolvesThroughTheInterface) {
     backend->add_clause(Lit(a, true));
     ASSERT_EQ(backend->solve(), SolveResult::Sat);
     EXPECT_TRUE(backend->model_bool(b));
-    // The Tseitin helpers accept any backend.
-    const Var y = add_xor(*backend, a, b);
+    // The encoder accepts any backend.
+    CircuitEncoder encoder(*backend);
+    const Lit y = encoder.add_xor(Lit(a, false), Lit(b, false));
     ASSERT_EQ(backend->solve(), SolveResult::Sat);
-    EXPECT_EQ(backend->model_bool(y),
+    EXPECT_EQ(lit_value(*backend, y),
               backend->model_bool(a) != backend->model_bool(b));
 }
 

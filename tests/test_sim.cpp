@@ -3,41 +3,30 @@
 // 200 randomized netlists (camo overrides, noisy flip masks, DFF words),
 // cone-restricted vs full sweep equality on every frontier read gate,
 // multi-word vs repeated-64 equality, plan-cache invalidation under
-// camouflage() / clear_camouflage(), and — the trajectory-changing axis —
-// that --dip-support=cone recovers correct keys wherever "full" does and
-// keeps the campaign CSV byte-identity contract (threads x resume) against
-// its own baseline.
+// camouflage() / clear_camouflage(), and that a DIP miter restricted to the
+// key support (off-support inputs pinned) still ends with exactly the keys
+// that brute-force enumeration finds equivalent to the defender's circuit.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <random>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
-#include "attack/attack_result.hpp"
 #include "attack/miter_detail.hpp"
 #include "attack/oracle.hpp"
-#include "attack/sat_attack.hpp"
 #include "camo/cell_library.hpp"
 #include "camo/protect.hpp"
-#include "engine/campaign.hpp"
-#include "engine/checkpoint.hpp"
-#include "engine/report.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/sim_plan.hpp"
 #include "netlist/simulator.hpp"
+#include "sat/encoder.hpp"
+#include "sat/solver.hpp"
 
 namespace gshe {
 namespace {
 
-using attack::DipSupportMode;
-using engine::CampaignOptions;
-using engine::CampaignRunner;
-using engine::DefenseConfig;
-using engine::JobSpec;
 using netlist::Netlist;
 using netlist::Simulator;
 
@@ -356,175 +345,81 @@ TEST(PlanCache, CopiesStartColdAndRebuildCorrectly) {
     EXPECT_EQ(copy.key_support(), prot.netlist.key_support());
 }
 
-// ---- DIP support mode registry ----------------------------------------------
+// ---- DIP support: the restricted miter loses no key class -------------------
 
-TEST(DipSupportRegistry, NamesRoundTrip) {
-    EXPECT_EQ(attack::dip_support_mode_name(DipSupportMode::Full), "full");
-    EXPECT_EQ(attack::dip_support_mode_name(DipSupportMode::Cone), "cone");
-    EXPECT_EQ(attack::dip_support_mode_from_name("full"),
-              DipSupportMode::Full);
-    EXPECT_EQ(attack::dip_support_mode_from_name("cone"),
-              DipSupportMode::Cone);
-    EXPECT_FALSE(attack::dip_support_mode_from_name("bogus").has_value());
-    EXPECT_EQ(attack::dip_support_mode_names(),
-              (std::vector<std::string>{"full", "cone"}));
+/// Ground truth by enumeration over every input: whether the circuit under
+/// `key` computes exactly the defender's function.
+bool equivalent_by_enumeration(const Netlist& nl, const camo::Key& key) {
+    const auto fns = camo::functions_for_key(nl, key);
+    if (!fns) return false;  // an unused code: the encoder forbids it
+    const std::size_t n = nl.inputs().size();
+    const std::size_t patterns = std::size_t{1} << n;
+    const std::size_t words = (patterns + 63) / 64;
+    std::vector<std::uint64_t> pi(n * words, 0);
+    for (std::size_t p = 0; p < patterns; ++p)
+        for (std::size_t i = 0; i < n; ++i)
+            if ((p >> i) & 1) pi[i * words + p / 64] |= std::uint64_t{1} << (p % 64);
+    const Simulator sim(nl);
+    return sim.run_words(pi, words) ==
+           sim.run_words_with_functions(pi, words, *fns);
 }
 
-TEST(DipSupportRegistry, ResolveThrowsListingKnownModes) {
-    EXPECT_THROW(attack::detail::resolve_dip_support_mode("bogus"),
-                 std::invalid_argument);
-    attack::AttackOptions opt;
-    opt.dip_support = "narrow";
-    EXPECT_THROW(attack::detail::resolve_dip_support_mode(opt),
-                 std::invalid_argument);
-    try {
-        attack::detail::resolve_dip_support_mode("bogus");
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("full"), std::string::npos);
-        EXPECT_NE(what.find("cone"), std::string::npos);
-    }
-}
-
-// ---- DIP support reduction: key-set equivalence -----------------------------
-
-TEST(DipSupportCone, RecoversCorrectKeysWhereverFullDoes) {
-    // Pinning non-support PIs must not change which key classes survive:
-    // both modes end with a functionally correct key on every instance,
-    // even though the DIP trajectories differ.
-    std::size_t with_keys = 0;
-    for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+TEST(DipSupport, RestrictedMiterEndsWithExactlyTheEquivalentKeys) {
+    // The single-DIP loop with off-support inputs pinned, run to Unsat;
+    // then the extraction face of the same solver (under {~guard}) must
+    // admit exactly the keys whose circuit equals the defender's on all
+    // 2^n inputs.
+    std::size_t instances = 0, restricted = 0;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
         netlist::RandomSpec spec;
-        spec.n_inputs = 10;
-        spec.n_outputs = 6;
-        spec.n_gates = 45;
-        spec.seed = seed;
+        spec.n_inputs = 8;
+        spec.n_outputs = 5;
+        spec.n_gates = 30;
+        spec.seed = 700 + seed;
         const Netlist plain = netlist::random_circuit(spec);
         const camo::Protection prot = camo::apply_camouflage(
-            plain, camo::select_gates(plain, 0.12, seed), camo::gshe16(),
+            plain, camo::select_gates(plain, 0.08, seed), camo::gshe16(),
             seed);
-        if (!prot.netlist.camo_cells().empty()) ++with_keys;
+        const Netlist& nl = prot.netlist;
+        const auto key_bits = static_cast<std::size_t>(nl.key_bit_count());
+        if (key_bits == 0 || key_bits > 12) continue;  // enumerable only
+        ++instances;
+        std::size_t support_inputs = 0;
+        for (const netlist::GateId pi : nl.inputs())
+            support_inputs += nl.key_support()[pi] != 0;
+        if (support_inputs < nl.inputs().size()) ++restricted;
 
-        attack::AttackResult results[2];
-        for (int m = 0; m < 2; ++m) {
-            attack::ExactOracle oracle(prot.netlist);
-            attack::AttackOptions opt;
-            opt.dip_support = m == 0 ? "full" : "cone";
-            results[m] = attack::sat_attack(prot.netlist, oracle, opt);
+        sat::Solver s;
+        sat::CircuitEncoder enc(s);
+        const sat::Encoding e1 = enc.encode(nl);
+        const sat::Encoding e2 = enc.encode(nl, e1.pis);
+        const sat::Lit guard(s.new_var(), false);
+        enc.add_difference(e1.outs, e2.outs, guard);
+        attack::detail::pin_off_support_inputs(s, nl, e1.pis);
+        attack::ExactOracle oracle(nl);
+        int dips = 0;
+        while (s.solve({guard}) == sat::SolveResult::Sat) {
+            ASSERT_LT(++dips, 1 << 10) << "seed " << seed;
+            const std::vector<bool> x =
+                attack::detail::model_values(s, e1.pis);
+            enc.add_agreement_pair(nl, e1.keys, e2.keys, x,
+                                   oracle.query_single(x));
         }
-        ASSERT_EQ(results[0].status, attack::AttackResult::Status::Success)
-            << "seed " << seed;
-        ASSERT_EQ(results[1].status, results[0].status) << "seed " << seed;
-        EXPECT_EQ(results[0].key_error_rate, 0.0) << "seed " << seed;
-        EXPECT_EQ(results[1].key_error_rate, 0.0) << "seed " << seed;
+
+        for (std::size_t k = 0; k < (std::size_t{1} << key_bits); ++k) {
+            camo::Key key;
+            std::vector<sat::Lit> assume{~guard};
+            for (std::size_t b = 0; b < key_bits; ++b) {
+                key.bits.push_back(((k >> b) & 1) != 0);
+                assume.push_back(sat::Lit(e1.keys[b], !key.bits.back()));
+            }
+            EXPECT_EQ(s.solve(assume) == sat::SolveResult::Sat,
+                      equivalent_by_enumeration(nl, key))
+                << "seed " << seed << " key " << k;
+        }
     }
-    EXPECT_GT(with_keys, 90u);
-}
-
-// ---- DIP support reduction: campaign byte-identity --------------------------
-
-Netlist tiny_circuit(const std::string& name) {
-    netlist::RandomSpec spec;
-    spec.n_inputs = 12;
-    spec.n_outputs = 8;
-    spec.n_gates = 60;
-    spec.seed = name == "alpha" ? 11 : 22;
-    return netlist::random_circuit(spec, name);
-}
-
-std::vector<JobSpec> cone_matrix() {
-    DefenseConfig camo;
-    camo.kind = "camo";
-    camo.fraction = 0.12;
-    camo.protect_seed = 0xC0DE;
-    attack::AttackOptions opt;
-    opt.dip_support = "cone";
-    return CampaignRunner::cross_product({"alpha", "beta"}, {camo},
-                                         {"sat", "appsat"}, {1, 2}, opt);
-}
-
-TEST(DipSupportCampaign, CsvByteIdenticalAcrossThreadCounts) {
-    const std::vector<JobSpec> jobs = cone_matrix();
-    std::vector<std::string> csvs;
-    for (const int threads : {1, 8}) {
-        CampaignOptions options;
-        options.threads = threads;
-        options.netlist_provider = tiny_circuit;
-        csvs.push_back(
-            engine::campaign_csv(CampaignRunner(options).run(jobs)));
-    }
-    EXPECT_EQ(csvs[0], csvs[1]);
-    EXPECT_NE(csvs[0].find("success"), std::string::npos);
-}
-
-TEST(DipSupportCampaign, ResumeReplaysByteIdentically) {
-    namespace fs = std::filesystem;
-    const fs::path dir = fs::temp_directory_path() / "gshe_sim_cone_resume";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    const std::string journal = (dir / "c.jsonl").string();
-
-    const std::vector<JobSpec> jobs = cone_matrix();
-    CampaignOptions first;
-    first.threads = 4;
-    first.netlist_provider = tiny_circuit;
-    first.checkpoint_path = journal;
-    first.resume_from_checkpoint = false;
-    const std::string live =
-        engine::campaign_csv(CampaignRunner(first).run(jobs));
-
-    CampaignOptions second;
-    second.threads = 4;
-    second.netlist_provider = tiny_circuit;
-    second.checkpoint_path = journal;
-    const engine::CampaignResult resumed = CampaignRunner(second).run(jobs);
-    EXPECT_EQ(resumed.resumed, jobs.size());
-    EXPECT_EQ(engine::campaign_csv(resumed), live);
-    // The dip-support column round-tripped through the journal.
-    for (const engine::JobResult& j : resumed.jobs)
-        EXPECT_EQ(j.dip_support, "cone") << j.circuit << "/" << j.attack;
-    fs::remove_all(dir);
-}
-
-// ---- journal schema ---------------------------------------------------------
-
-TEST(CheckpointDipSupport, LegacySpecJsonAndJobKeysAreUnchanged) {
-    JobSpec legacy;
-    legacy.circuit = "alpha";
-    // The default spec must not mention dip_support at all: job keys are
-    // fnv1a over this JSON, and pre-dip-support journals must keep resuming.
-    EXPECT_EQ(engine::checkpoint::spec_json(legacy).find("dip_support"),
-              std::string::npos);
-
-    JobSpec cone = legacy;
-    cone.attack_options.dip_support = "cone";
-    const std::string json = engine::checkpoint::spec_json(cone);
-    EXPECT_NE(json.find("\"dip_support\":\"cone\""), std::string::npos);
-    // Different support mode => different job identity: a cone journal can
-    // never satisfy a full campaign (or vice versa).
-    EXPECT_NE(engine::checkpoint::job_key(1, 0, legacy),
-              engine::checkpoint::job_key(1, 0, cone));
-}
-
-TEST(CheckpointDipSupport, FieldsRoundTripThroughARecord) {
-    JobSpec spec;
-    spec.circuit = "alpha";
-    spec.attack_options.dip_support = "cone";
-    engine::JobResult r;
-    r.index = 2;
-    r.circuit = "alpha";
-    r.dip_support = "cone";
-    r.result.status = attack::AttackResult::Status::Success;
-    r.oracle_cache.lanes_deduped = 41;
-
-    const std::string line =
-        engine::checkpoint::encode_record(42, spec, r, {});
-    const auto decoded = engine::checkpoint::decode_record(line);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(decoded->spec.attack_options.dip_support, "cone");
-    EXPECT_EQ(decoded->result.dip_support, "cone");
-    EXPECT_EQ(decoded->result.oracle_cache.lanes_deduped, 41u);
+    EXPECT_GE(instances, 20u);
+    EXPECT_GE(restricted, 5u) << "too few instances exercised the pinning";
 }
 
 }  // namespace

@@ -43,7 +43,6 @@
 #include "common/parse.hpp"
 #include "common/report.hpp"
 #include "sat/backend.hpp"
-#include "sat/encoder.hpp"
 #include "engine/campaign.hpp"
 #include "engine/checkpoint.hpp"
 #include "engine/defense.hpp"
@@ -76,9 +75,6 @@ struct Cli {
     std::vector<std::string> defenses = {"camo", "sarlock", "stochastic"};
     std::vector<std::string> attacks = {"sat", "double_dip"};
     std::string solver = "internal";
-    std::string encoder = "legacy";
-    std::string extraction = "fresh";
-    std::string dip_support = "full";
     int portfolio_width = 4;
     bool portfolio_race = false;
     std::vector<std::string> inprocess;  // of: viv, xor, bve
@@ -115,24 +111,6 @@ void usage() {
         "                     'portfolio' races K diversified internal CDCL\n"
         "                     workers per solve; 'dimacs' shells out to the\n"
         "                     binary named by GSHE_DIMACS_SOLVER)\n"
-        "  --encoder=NAME     CNF encoder for every attack (default legacy;\n"
-        "                     'compact' folds constants, hashes shared\n"
-        "                     structure and cone-reduces DIP agreements —\n"
-        "                     deterministic, but a different trajectory than\n"
-        "                     legacy, so compare CSVs within one mode)\n"
-        "  --extraction=NAME  key-extraction mode for every attack (default\n"
-        "                     fresh = per-extraction solver + full-history\n"
-        "                     replay; 'inplace' extracts on the live miter\n"
-        "                     solver under an assumption-guarded difference —\n"
-        "                     deterministic, but a different trajectory than\n"
-        "                     fresh, so compare CSVs within one mode)\n"
-        "  --dip-support=NAME DIP support mode for the single-DIP loop and\n"
-        "                     AppSAT (default full = the historical miter over\n"
-        "                     every primary input; 'cone' pins inputs outside\n"
-        "                     the key cone's transitive fanin to constants —\n"
-        "                     deterministic, but a different trajectory than\n"
-        "                     full, so compare CSVs within one mode. Double\n"
-        "                     DIP's 2-DIP phase keeps the full input space)\n"
         "  --portfolio-width=K  portfolio worker count (default 4; width 1\n"
         "                     behaves bit-for-bit like --solver=internal)\n"
         "  --portfolio-race   wall-clock race tier: first decisive worker\n"
@@ -205,15 +183,6 @@ void list_choices() {
         std::printf("  %-11s %s%s\n", name.c_str(), b.label().c_str(),
                     b.available() ? "" : " [unavailable]");
     }
-    std::printf("encoders:\n");
-    for (const auto& name : sat::encoder_mode_names())
-        std::printf("  %s\n", name.c_str());
-    std::printf("extractions:\n");
-    for (const auto& name : attack::extraction_mode_names())
-        std::printf("  %s\n", name.c_str());
-    std::printf("dip-supports:\n");
-    for (const auto& name : attack::dip_support_mode_names())
-        std::printf("  %s\n", name.c_str());
 }
 
 // ---- strict flag parsing ----------------------------------------------------
@@ -308,9 +277,6 @@ bool parse(Cli& cli, int argc, char** argv, bool& exit_ok) {
         else if (starts("--defenses=")) cli.defenses = split(val(), ',');
         else if (starts("--attacks=")) cli.attacks = split(val(), ',');
         else if (starts("--solver=")) cli.solver = val();
-        else if (starts("--encoder=")) cli.encoder = val();
-        else if (starts("--extraction=")) cli.extraction = val();
-        else if (starts("--dip-support=")) cli.dip_support = val();
         else if (starts("--portfolio-width=")) cli.portfolio_width = int_flag("--portfolio-width", val(), 1, 64);
         else if (starts("--inprocess=")) cli.inprocess = split(val(), ',');
         else if (starts("--inprocess-interval=")) cli.inprocess_interval = u64_flag("--inprocess-interval", val());
@@ -410,9 +376,6 @@ int main(int argc, char** argv) {
     attack_options.timeout_seconds = cli.timeout_seconds;
     attack_options.max_conflicts = cli.max_conflicts;
     attack_options.solver_backend = cli.solver;
-    attack_options.encoder = cli.encoder;
-    attack_options.extraction = cli.extraction;
-    attack_options.dip_support = cli.dip_support;
     attack_options.solver.portfolio_width = cli.portfolio_width;
     attack_options.solver.portfolio_race = cli.portfolio_race;
     attack_options.solver.inprocess_interval = cli.inprocess_interval;
@@ -441,30 +404,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "%s\n", e.what());
         return 2;
     }
-    if (!sat::encoder_mode_from_name(cli.encoder)) {
-        std::string known;
-        for (const auto& name : sat::encoder_mode_names()) known += " " + name;
-        std::fprintf(stderr, "unknown encoder '%s'; known encoders:%s\n",
-                     cli.encoder.c_str(), known.c_str());
-        return 2;
-    }
-    if (!attack::extraction_mode_from_name(cli.extraction)) {
-        std::string known;
-        for (const auto& name : attack::extraction_mode_names())
-            known += " " + name;
-        std::fprintf(stderr, "unknown extraction '%s'; known extractions:%s\n",
-                     cli.extraction.c_str(), known.c_str());
-        return 2;
-    }
-    if (!attack::dip_support_mode_from_name(cli.dip_support)) {
-        std::string known;
-        for (const auto& name : attack::dip_support_mode_names())
-            known += " " + name;
-        std::fprintf(stderr, "unknown dip-support '%s'; known dip-supports:%s\n",
-                     cli.dip_support.c_str(), known.c_str());
-        return 2;
-    }
-
     const std::vector<JobSpec> jobs = CampaignRunner::cross_product(
         cli.circuits, defenses, cli.attacks, seeds, attack_options);
     if (jobs.empty()) {
