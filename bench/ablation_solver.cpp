@@ -11,10 +11,9 @@
 // and backend while circuit, defense and selection stay fixed. Per-job
 // wall-seconds by backend land in BENCH_solver.json (the perf-trajectory
 // seed; see bench::write_solver_bench_json).
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -119,110 +118,5 @@ int main() {
     std::printf("campaign: %zu jobs, %.1f s wall on %d thread(s)\n",
                 campaign.jobs.size(), campaign.wall_seconds, campaign.threads);
     bench::write_solver_bench_json("BENCH_solver.json", campaign, labels);
-
-    // ---- portfolio width sweep ---------------------------------------------
-    // Same attack on a small instance matrix, backend "portfolio" in
-    // wall-clock race mode at widths {1, 2, 4} against the "internal"
-    // baseline. The race tier is where a portfolio earns wall-clock: each
-    // miter solve is won by whichever diversified worker finishes first
-    // (and the LBD<=2 clause exchange cuts the winner's conflict count well
-    // below the single-engine baseline), so with one core per worker the
-    // hard solves collapse to the min over K trajectories. With fewer cores
-    // than workers the threads time-slice and the sweep instead measures
-    // the multiplexing penalty — host_cpus is recorded in the JSON so the
-    // perf trajectory only compares like with like. Per-width geomean
-    // speedups land in BENCH_portfolio.json.
-    struct Instance {
-        double fraction;
-        std::uint64_t protect_seed;
-    };
-    const std::vector<Instance> instances = {
-        {0.08, 0xAB2}, {0.12, 0xAB2}, {0.12, 0xAB3}};
-    const unsigned host_cpus = std::thread::hardware_concurrency();
-    if (host_cpus < 4)
-        std::printf(
-            "note: %u core(s) < width 4 — race workers will time-slice, so "
-            "wall-clock speedups below reflect scheduling, not the "
-            "portfolio\n",
-            host_cpus);
-    std::vector<std::string> instance_labels;
-    for (const Instance& inst : instances) {
-        char label[64];
-        std::snprintf(label, sizeof label, "c7552 camo %.0f%% seed %llx",
-                      inst.fraction * 100.0,
-                      static_cast<unsigned long long>(inst.protect_seed));
-        instance_labels.push_back(label);
-    }
-
-    auto run_matrix = [&](const std::string& backend, int width, bool race) {
-        std::vector<JobSpec> sweep;
-        for (const Instance& inst : instances) {
-            JobSpec spec;
-            spec.circuit = "c7552";
-            spec.defense.kind = "camo";
-            spec.defense.library = "gshe16";
-            spec.defense.fraction = inst.fraction;
-            spec.defense.protect_seed = inst.protect_seed;
-            spec.attack = "sat";
-            spec.attack_options.timeout_seconds = timeout;
-            spec.attack_options.solver_backend = backend;
-            spec.attack_options.solver.portfolio_width = width;
-            spec.attack_options.solver.portfolio_race = race;
-            sweep.push_back(std::move(spec));
-        }
-        CampaignOptions sweep_opts;
-        sweep_opts.threads = 1;  // the portfolio threads internally per solve
-        return CampaignRunner(sweep_opts).run(sweep);
-    };
-
-    const CampaignResult baseline = run_matrix("internal", 1, false);
-    std::vector<double> internal_seconds;
-    for (const JobResult& j : baseline.jobs)
-        internal_seconds.push_back(j.result.seconds);
-
-    std::vector<bench::PortfolioWidthSummary> widths;
-    for (const int width : {1, 2, 4}) {
-        const CampaignResult run = run_matrix("portfolio", width, true);
-        bench::PortfolioWidthSummary s;
-        s.width = width;
-        s.race = true;
-        s.wall_seconds = run.wall_seconds;
-        double log_sum = 0.0;
-        for (std::size_t i = 0; i < run.jobs.size(); ++i) {
-            const JobResult& j = run.jobs[i];
-            s.attack_seconds.push_back(j.result.seconds);
-            s.statuses.push_back(bench::status_cell(j));
-            // Both timed out: no information, count the ratio as 1x.
-            const bool both_to =
-                j.result.timed_out() && baseline.jobs[i].result.timed_out();
-            const double ratio =
-                both_to ? 1.0
-                        : internal_seconds[i] /
-                              std::max(j.result.seconds, 1e-4);
-            log_sum += std::log(ratio);
-        }
-        s.geomean_speedup =
-            std::exp(log_sum / static_cast<double>(run.jobs.size()));
-        widths.push_back(std::move(s));
-    }
-
-    AsciiTable pt("Portfolio race: wall-clock vs backend internal");
-    pt.header({"width", "instance", "status", "time", "internal", "speedup"});
-    for (const bench::PortfolioWidthSummary& s : widths) {
-        for (std::size_t i = 0; i < instances.size(); ++i)
-            pt.row({std::to_string(s.width), instance_labels[i],
-                    s.statuses[i],
-                    AsciiTable::runtime(s.attack_seconds[i], false),
-                    AsciiTable::runtime(internal_seconds[i], false),
-                    bench::eng(internal_seconds[i] /
-                                   std::max(s.attack_seconds[i], 1e-4),
-                               "x")});
-        char geo[64];
-        std::snprintf(geo, sizeof geo, "geomean %.2fx", s.geomean_speedup);
-        pt.row({std::to_string(s.width), "(all)", "", "", "", geo});
-    }
-    std::puts(pt.render().c_str());
-    bench::write_portfolio_bench_json("BENCH_portfolio.json", instance_labels,
-                                      internal_seconds, widths, host_cpus);
     return 0;
 }

@@ -113,71 +113,6 @@ inline void write_solver_bench_json(const std::string& path,
     std::printf("wrote %s (%zu jobs)\n", path.c_str(), campaign.jobs.size());
 }
 
-/// Perf-trajectory hook for the portfolio SAT backend: one record per
-/// portfolio width, each carrying the per-instance attack wall-seconds and
-/// the geomean speedup against the backend-"internal" baseline run on the
-/// identical job matrix. Successive runs are comparable by the "width" key.
-/// Wall-clock fields are measured, not derived, so the file is *not*
-/// byte-reproducible.
-struct PortfolioWidthSummary {
-    int width = 1;
-    bool race = true;
-    double wall_seconds = 0.0;              ///< whole-campaign wall
-    std::vector<double> attack_seconds;     ///< per instance, matrix order
-    std::vector<std::string> statuses;      ///< per instance, matrix order
-    double geomean_speedup = 1.0;           ///< vs internal, per-instance
-};
-
-inline void write_portfolio_bench_json(
-    const std::string& path, const std::vector<std::string>& instance_labels,
-    const std::vector<double>& internal_seconds,
-    const std::vector<PortfolioWidthSummary>& widths, unsigned host_cpus) {
-    JsonWriter w;
-    w.begin_object();
-    w.key("bench");
-    w.value("portfolio");
-    // Wall-clock racing needs one core per worker to pay off; on a host
-    // with fewer cores the workers time-slice and the sweep measures the
-    // multiplexing penalty instead. Recorded so trajectory comparisons
-    // only pair runs from comparable hosts.
-    w.key("host_cpus");
-    w.value(static_cast<std::int64_t>(host_cpus));
-    w.key("instances");
-    w.begin_array();
-    for (const std::string& label : instance_labels) w.value(label);
-    w.end_array();
-    w.key("internal_seconds");
-    w.begin_array();
-    for (const double s : internal_seconds) w.value(s);
-    w.end_array();
-    w.key("widths");
-    w.begin_array();
-    for (const PortfolioWidthSummary& s : widths) {
-        w.begin_object();
-        w.key("width");
-        w.value(static_cast<std::int64_t>(s.width));
-        w.key("race");
-        w.value(s.race);
-        w.key("wall_seconds");
-        w.value(s.wall_seconds);
-        w.key("attack_seconds");
-        w.begin_array();
-        for (const double sec : s.attack_seconds) w.value(sec);
-        w.end_array();
-        w.key("statuses");
-        w.begin_array();
-        for (const std::string& st : s.statuses) w.value(st);
-        w.end_array();
-        w.key("geomean_speedup");
-        w.value(s.geomean_speedup);
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    write_text_file(path, w.str() + "\n");
-    std::printf("wrote %s (%zu widths)\n", path.c_str(), widths.size());
-}
-
 /// Perf-trajectory hook for the oracle query memo: one record per cache
 /// mode (off/on), each summing the campaign's logical oracle batches, the
 /// batches that actually reached the simulator, and memo hit/miss counts,

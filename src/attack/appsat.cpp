@@ -157,7 +157,6 @@ AttackResult appsat_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
     }
 
     res.solver_stats = solver.stats();
-    detail::capture_solver_identity(res, solver);
     sat::accumulate(res.encoder_stats, encoder.stats());
     detail::finalize_result(res, camo_nl, oracle, options.base, timer);
     return res;

@@ -68,11 +68,6 @@ struct AttackResult {
     double key_error_rate = 1.0;
     bool key_exact = false;  ///< error rate was 0 on the sample
     sat::Solver::Stats solver_stats;
-    /// Portfolio-backend telemetry (the "internal" fallback idiom: 0 / -1
-    /// for single-engine backends). Width is the worker count; winner is
-    /// the worker that decided the miter solver's last decisive solve.
-    int portfolio_width = 0;
-    int portfolio_winner = -1;
     /// CNF-emission telemetry, summed over every encoder the attack used.
     /// Telemetry only: rides the JSON report and journal, never the
     /// deterministic CSV.

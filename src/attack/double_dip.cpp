@@ -42,7 +42,6 @@ AttackResult double_dip_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
         if (res.iterations >= options.max_iterations) {
             res.status = AttackResult::Status::IterationCap;
             res.solver_stats = solver.stats();
-            detail::capture_solver_identity(res, solver);
             sat::accumulate(res.encoder_stats, encoder.stats());
             detail::finalize_result(res, camo_nl, oracle, options, timer);
             return res;
@@ -50,7 +49,6 @@ AttackResult double_dip_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
         if (options.timeout_seconds - timer.seconds() <= 0.0) {
             res.status = AttackResult::Status::TimedOut;
             res.solver_stats = solver.stats();
-            detail::capture_solver_identity(res, solver);
             sat::accumulate(res.encoder_stats, encoder.stats());
             detail::finalize_result(res, camo_nl, oracle, options, timer);
             return res;
@@ -61,7 +59,6 @@ AttackResult double_dip_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
         if (r == sat::SolveResult::Unknown) {
             res.status = AttackResult::Status::TimedOut;
             res.solver_stats = solver.stats();
-            detail::capture_solver_identity(res, solver);
             sat::accumulate(res.encoder_stats, encoder.stats());
             detail::finalize_result(res, camo_nl, oracle, options, timer);
             return res;

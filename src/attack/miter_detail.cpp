@@ -6,13 +6,7 @@ namespace gshe::attack::detail {
 
 std::unique_ptr<sat::SolverBackend> make_attack_solver(
     const AttackOptions& options) {
-    // The attack seed (engine-derived, per job) rides into the solver
-    // options: the portfolio backend diversifies its workers from it, so a
-    // job's portfolio is a pure function of its derived seed. The internal
-    // backend draws nothing from it under default options.
-    sat::SolverOptions solver_opts = options.solver;
-    solver_opts.seed = options.seed;
-    return sat::make_backend(options.solver_backend, solver_opts);
+    return sat::make_backend(options.solver_backend, options.solver);
 }
 
 void pin_off_support_inputs(sat::SolverBackend& solver,
@@ -23,12 +17,6 @@ void pin_off_support_inputs(sat::SolverBackend& solver,
     for (std::size_t i = 0; i < inputs.size(); ++i)
         if (support[inputs[i]] == 0)
             solver.add_clause(sat::Lit(pis[i], true));  // pin to 0
-}
-
-void capture_solver_identity(AttackResult& res,
-                             const sat::SolverBackend& solver) {
-    res.portfolio_width = solver.portfolio_width();
-    res.portfolio_winner = solver.portfolio_last_winner();
 }
 
 void set_remaining_budget(sat::SolverBackend& solver,
@@ -136,7 +124,6 @@ AttackResult run_single_dip_loop(const netlist::Netlist& camo_nl,
     }
 
     res.solver_stats = solver.stats();
-    capture_solver_identity(res, solver);
     sat::accumulate(res.encoder_stats, encoder.stats());
     return res;
 }

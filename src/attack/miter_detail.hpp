@@ -69,12 +69,6 @@ void pin_off_support_inputs(sat::SolverBackend& solver,
                             const netlist::Netlist& camo_nl,
                             const std::vector<sat::Var>& pis);
 
-/// Copies the backend's portfolio telemetry (width, last decisive winner)
-/// into the result — applied wherever solver_stats is captured, so the
-/// engine's portfolio_winner/portfolio_width columns ride every attack.
-void capture_solver_identity(AttackResult& res,
-                             const sat::SolverBackend& solver);
-
 /// The per-solve budget every attack applies: the wall-clock remainder of
 /// the attack's timeout plus the deterministic conflict cap. This is the
 /// single point where AttackOptions turns into a sat::SolverBudget — the

@@ -27,32 +27,8 @@ void write_solver_options(JsonWriter& w, const sat::Solver::Options& o) {
     w.value(o.use_learning);
     w.key("use_phase_saving");
     w.value(o.use_phase_saving);
-    w.key("var_decay");
-    w.value_full(o.var_decay);
-    w.key("clause_decay");
-    w.value_full(o.clause_decay);
-    w.key("restart_base");
-    w.value(o.restart_base);
-    w.key("restart_luby");
-    w.value(o.restart_luby);
-    w.key("default_phase");
-    w.value(o.default_phase);
-    w.key("random_branch_freq");
-    w.value_full(o.random_branch_freq);
     w.key("reduce_interval");
     w.value(o.reduce_interval);
-    w.key("reduce_growth");
-    w.value_full(o.reduce_growth);
-    w.key("glue_keep_lbd");
-    w.value(static_cast<std::int64_t>(o.glue_keep_lbd));
-    w.key("portfolio_width");
-    w.value(static_cast<std::int64_t>(o.portfolio_width));
-    w.key("portfolio_race");
-    w.value(o.portfolio_race);
-    w.key("share_lbd_max");
-    w.value(static_cast<std::int64_t>(o.share_lbd_max));
-    w.key("share_bytes_max");
-    w.value(o.share_bytes_max);
     w.key("use_vivification");
     w.value(o.use_vivification);
     w.key("use_xor_recovery");
@@ -195,14 +171,6 @@ void write_result(JsonWriter& w, const JobResult& r) {
     w.key("eliminated_vars");
     w.value(r.result.solver_stats.eliminated_vars);
     w.end_object();
-    // Portfolio telemetry (additive to journal v1; the -1/0 "internal
-    // fallback" defaults make older records decode identically). In the
-    // conflict-budgeted tier the winner is CSV-deterministic and must
-    // round-trip exactly for the resume/merge byte-identity contract.
-    w.key("portfolio_winner");
-    w.value(static_cast<std::int64_t>(r.result.portfolio_winner));
-    w.key("portfolio_width");
-    w.value(static_cast<std::int64_t>(r.result.portfolio_width));
     // CNF-encoder telemetry.
     w.key("encoder_stats");
     w.begin_object();
@@ -353,32 +321,8 @@ std::optional<JobSpec> spec_from_value(const json::Value& v) {
                 bool_field(*s, "use_learning", opt.solver.use_learning);
             opt.solver.use_phase_saving =
                 bool_field(*s, "use_phase_saving", opt.solver.use_phase_saving);
-            opt.solver.var_decay =
-                double_field(*s, "var_decay", opt.solver.var_decay);
-            opt.solver.clause_decay =
-                double_field(*s, "clause_decay", opt.solver.clause_decay);
-            opt.solver.restart_base =
-                u64_field(*s, "restart_base", opt.solver.restart_base);
-            opt.solver.restart_luby =
-                bool_field(*s, "restart_luby", opt.solver.restart_luby);
-            opt.solver.default_phase =
-                bool_field(*s, "default_phase", opt.solver.default_phase);
-            opt.solver.random_branch_freq = double_field(
-                *s, "random_branch_freq", opt.solver.random_branch_freq);
             opt.solver.reduce_interval =
                 u64_field(*s, "reduce_interval", opt.solver.reduce_interval);
-            opt.solver.reduce_growth =
-                double_field(*s, "reduce_growth", opt.solver.reduce_growth);
-            opt.solver.glue_keep_lbd = static_cast<std::int32_t>(
-                i64_field(*s, "glue_keep_lbd", opt.solver.glue_keep_lbd));
-            opt.solver.portfolio_width = static_cast<int>(
-                i64_field(*s, "portfolio_width", opt.solver.portfolio_width));
-            opt.solver.portfolio_race =
-                bool_field(*s, "portfolio_race", opt.solver.portfolio_race);
-            opt.solver.share_lbd_max = static_cast<std::int32_t>(
-                i64_field(*s, "share_lbd_max", opt.solver.share_lbd_max));
-            opt.solver.share_bytes_max =
-                u64_field(*s, "share_bytes_max", opt.solver.share_bytes_max);
             opt.solver.use_vivification = bool_field(
                 *s, "use_vivification", opt.solver.use_vivification);
             opt.solver.use_xor_recovery = bool_field(
@@ -443,10 +387,6 @@ std::optional<JobResult> result_from_value(const json::Value& v) {
         r.result.solver_stats.eliminated_vars =
             u64_field(*s, "eliminated_vars", 0);
     }
-    r.result.portfolio_winner = static_cast<int>(
-        i64_field(*a, "portfolio_winner", r.result.portfolio_winner));
-    r.result.portfolio_width = static_cast<int>(
-        i64_field(*a, "portfolio_width", r.result.portfolio_width));
     if (const json::Value* e = a->find("encoder_stats"); e && e->is_object()) {
         sat::EncoderStats& es = r.result.encoder_stats;
         es.vars = u64_field(*e, "vars", 0);

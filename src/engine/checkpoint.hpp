@@ -51,7 +51,12 @@ namespace gshe::engine::checkpoint {
 /// default spec serializes to the same JSON — and so the same job key — as
 /// under version 1, so version-1 records must be refused, not replayed as
 /// results of the new pipeline.
-inline constexpr std::uint64_t kJournalVersion = 2;
+/// Version 3: the multi-worker solver backend, its result fields and the
+/// solver's search-heuristic knobs left the record. A version-2 record may
+/// describe a configuration the decoder can no longer represent (a
+/// multi-worker job, a non-default restart schedule) and would decode as a
+/// default spec, so version-2 records are refused as well.
+inline constexpr std::uint64_t kJournalVersion = 3;
 
 /// Shard provenance stamped on every record (additive to version 1): which
 /// plan the job belongs to and which shard's journal it was written into.

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "sat/dimacs_backend.hpp"
-#include "sat/portfolio_backend.hpp"
 #include "sat/solver.hpp"
 
 namespace gshe::sat {
@@ -31,26 +30,6 @@ public:
     std::unique_ptr<SolverBackend> create(
         const SolverOptions& opts) const override {
         return std::make_unique<Solver>(opts);
-    }
-};
-
-class PortfolioFactory final : public BackendFactory {
-public:
-    const std::string& name() const override {
-        static const std::string n = "portfolio";
-        return n;
-    }
-    const std::string& label() const override {
-        static const std::string l =
-            "K diversified internal-CDCL workers per solve (deterministic "
-            "when conflict-budgeted; --portfolio-race adds wall-clock racing "
-            "with clause exchange)";
-        return l;
-    }
-    bool available() const override { return true; }
-    std::unique_ptr<SolverBackend> create(
-        const SolverOptions& opts) const override {
-        return std::make_unique<PortfolioBackend>(opts);
     }
 };
 
@@ -83,7 +62,6 @@ const std::vector<std::unique_ptr<BackendFactory>>& registry() {
     static const auto* backends = [] {
         auto* v = new std::vector<std::unique_ptr<BackendFactory>>();
         v->push_back(std::make_unique<InternalFactory>());
-        v->push_back(std::make_unique<PortfolioFactory>());
         v->push_back(std::make_unique<DimacsFactory>());
         return v;
     }();

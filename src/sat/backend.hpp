@@ -3,18 +3,13 @@
 //
 // Every SAT consumer in the repo — the oracle-guided attacks, the
 // equivalence checker, the CNF encoder — programs against the abstract
-// SolverBackend interface below instead of a concrete solver class. Three
+// SolverBackend interface below instead of a concrete solver class. Two
 // backends ship in-tree:
 //
 //   "internal"  the CDCL solver of sat/solver.hpp (MiniSat-architecture,
 //               incremental, deterministic — the default, and the baseline
 //               of the campaign engine's byte-identical reproducibility
 //               contract);
-//   "portfolio" K diversified internal-CDCL workers per solve
-//               (sat/portfolio_backend.hpp): deterministic in the
-//               conflict-budgeted tier (lowest-index winner), wall-clock
-//               racing with bounded clause exchange in the declared
-//               non-deterministic race tier;
 //   "dimacs"    a subprocess adapter (sat/dimacs_backend.hpp) that shells
 //               out to any MiniSat/CryptoMiniSat-compatible binary via
 //               DIMACS export + model parse, for paper-scale runs on an
@@ -43,30 +38,21 @@ namespace gshe::sat {
 /// (the "t-o" semantics of the paper's Table IV).
 enum class SolveResult { Sat, Unsat, Unknown };
 
-/// Search-heuristic configuration. Fully honoured by the "internal" CDCL
-/// backend; external backends treat these as best-effort hints (a
-/// subprocess solver has its own heuristics).
+/// Solver configuration. Fully honoured by the "internal" CDCL backend;
+/// external backends ignore it (a subprocess solver has its own
+/// heuristics). The search heuristics themselves (VSIDS and clause-activity
+/// decay, the Luby restart schedule, learnt-DB growth and glue bound) are
+/// fixed constants in sat/solver.cpp.
 struct SolverOptions {
+    // Feature toggles for the solver-ablation bench (bench/ablation_solver).
     bool use_vsids = true;        ///< false: pick lowest-index unassigned var
-    bool use_restarts = true;     ///< restarts per restart_base/restart_luby
+    bool use_restarts = true;     ///< false: never restart
     bool use_learning = true;     ///< false: backtrack one level, no learnt DB
-    bool use_phase_saving = true; ///< false: always decide default_phase
-    double var_decay = 0.95;
-    double clause_decay = 0.999;
+    bool use_phase_saving = true; ///< false: always decide the false phase
 
-    // Restart / branching diversification (the portfolio backend varies
-    // these per worker; defaults reproduce the historical hard-coded
-    // behavior bit for bit).
-    std::uint64_t restart_base = 128;  ///< conflicts before the first restart
-    bool restart_luby = true;          ///< false: power-of-two geometric growth
-    bool default_phase = false;        ///< decision polarity with no saved phase
-    double random_branch_freq = 0.0;   ///< P(random decision var); 0 = off
-    std::uint64_t seed = 0;            ///< seeds the random-branching stream
-
-    // Learnt-DB reduction knobs (formerly constants in reduce_learnt_db).
-    std::uint64_t reduce_interval = 4096;  ///< learnt clauses before 1st reduce
-    double reduce_growth = 1.5;            ///< reduce-interval growth factor
-    std::int32_t glue_keep_lbd = 2;        ///< keep every clause with LBD <= this
+    /// Learnt clauses before the first learnt-DB reduction (the interval
+    /// then grows by half each time).
+    std::uint64_t reduce_interval = 4096;
 
     // Inprocessing passes (internal backend; sat/solver.cpp inprocess()).
     // All run at deterministic root-level points scheduled by conflict
@@ -77,14 +63,6 @@ struct SolverOptions {
     bool use_xor_recovery = false;  ///< CNF XOR detection + GF(2) elimination
     bool use_bve = false;           ///< bounded variable elimination
     std::uint64_t inprocess_interval = 8192;  ///< conflicts between rounds
-
-    // Portfolio-backend configuration (sat/portfolio_backend.hpp; other
-    // backends ignore these).
-    int portfolio_width = 4;      ///< worker count K
-    bool portfolio_race = false;  ///< true: wall-clock race tier (declared
-                                  ///< non-deterministic, clause exchange on)
-    std::int32_t share_lbd_max = 2;            ///< clause-exchange LBD bound
-    std::uint64_t share_bytes_max = 1u << 20;  ///< clause-exchange pool byte cap
 };
 
 /// Per-backend resource budget. Conflict/propagation caps are cumulative
@@ -159,18 +137,9 @@ public:
     virtual const SolverStats& stats() const = 0;
     virtual const SolverOptions& options() const = 0;
 
-    /// Registry key of the backend this instance came from ("internal",
-    /// "dimacs", ...).
+    /// Registry key of the backend this instance came from ("internal" or
+    /// "dimacs").
     virtual const std::string& backend_name() const = 0;
-
-    // ---- portfolio introspection -------------------------------------------
-    /// Worker count for portfolio-style backends; 0 for single-engine
-    /// backends (the CSV "internal fallback" idiom: reports render 0 / -1
-    /// for non-portfolio rows).
-    virtual int portfolio_width() const { return 0; }
-    /// Index of the worker that decided the most recent Sat/Unsat solve;
-    /// -1 when no solve has been decisive (or for single-engine backends).
-    virtual int portfolio_last_winner() const { return -1; }
 };
 
 // ---- registry ---------------------------------------------------------------

@@ -1,11 +1,36 @@
 #include "sat/dimacs.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <climits>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
 namespace gshe::sat {
+
+namespace {
+
+/// Largest 1-based DIMACS variable whose literals still fit a Lit code
+/// (2 * var + 1 <= INT_MAX for the 0-based var).
+constexpr int kMaxDimacsVar = INT_MAX / 2 + 1;
+
+/// Parses a whole token as a base-10 DIMACS literal in
+/// [-kMaxDimacsVar, kMaxDimacsVar]. Anything else (trailing junk, a value
+/// outside the range, INT_MIN included) throws std::runtime_error naming
+/// `what`.
+int parse_literal(const std::string& tok, const char* what) {
+    int v = 0;
+    const char* const end = tok.data() + tok.size();
+    const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+    if (ec != std::errc() || ptr != end || v < -kMaxDimacsVar ||
+        v > kMaxDimacsVar)
+        throw std::runtime_error(std::string(what) + ": bad literal '" + tok +
+                                 "'");
+    return v;
+}
+
+}  // namespace
 
 CnfFormula read_dimacs(std::istream& in) {
     CnfFormula f;
@@ -34,9 +59,11 @@ CnfFormula read_dimacs(std::istream& in) {
                     "dimacs: malformed header (expected \"p cnf V C\")");
             if (f.num_vars < 0 || expected_clauses < 0)
                 throw std::runtime_error("dimacs: negative header counts");
+            if (f.num_vars > kMaxDimacsVar)
+                throw std::runtime_error("dimacs: too many variables");
             continue;
         }
-        const int v = std::stoi(tok);
+        const int v = parse_literal(tok, "dimacs");
         if (v == 0) {
             f.clauses.push_back(current);
             current.clear();
@@ -92,7 +119,7 @@ void scrape_counter(const std::string& line, const char* key,
 
 }  // namespace
 
-SolverOutput parse_solver_output(std::istream& in) {
+SolverOutput parse_solver_output(std::istream& in, int num_vars) {
     SolverOutput out;
     std::string line;
     while (std::getline(in, line)) {
@@ -145,24 +172,33 @@ SolverOutput parse_solver_output(std::istream& in) {
         }
 
         std::istringstream lits(payload);
-        long v = 0;
-        while (lits >> v) {
+        std::string tok;
+        while (lits >> tok) {
+            const int v = parse_literal(tok, "solver output");
             if (v == 0) {
                 out.model_complete = true;
                 break;
             }
-            const std::size_t var = static_cast<std::size_t>(std::labs(v)) - 1;
-            if (out.model.size() <= var)
-                out.model.resize(var + 1, LBool::Undef);
-            out.model[var] = v > 0 ? LBool::True : LBool::False;
+            const int var = std::abs(v) - 1;
+            if (var >= num_vars)
+                throw std::runtime_error(
+                    "solver output: literal " + tok +
+                    " names a variable outside the formula's " +
+                    std::to_string(num_vars) + " variables");
+            if (out.model.size() <= static_cast<std::size_t>(var))
+                out.model.resize(static_cast<std::size_t>(var) + 1,
+                                 LBool::Undef);
+            out.model[static_cast<std::size_t>(var)] =
+                v > 0 ? LBool::True : LBool::False;
         }
     }
     return out;
 }
 
-SolverOutput parse_solver_output_string(const std::string& text) {
+SolverOutput parse_solver_output_string(const std::string& text,
+                                        int num_vars) {
     std::istringstream in(text);
-    return parse_solver_output(in);
+    return parse_solver_output(in, num_vars);
 }
 
 }  // namespace gshe::sat

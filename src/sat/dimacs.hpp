@@ -21,7 +21,10 @@ struct CnfFormula {
 
 /// Parses DIMACS text ("p cnf V C" header plus zero-terminated clauses).
 /// Throws std::runtime_error on malformed input: non-cnf formats, headers
-/// with the wrong arity ("p cnf 3"), or a clause missing its 0 terminator.
+/// with the wrong arity ("p cnf 3"), a clause token that is not a whole
+/// base-10 int ("x", "3abc", "99999999999"), a variable past 2^30 (whose
+/// literal would not fit a Lit code; INT_MIN included), or a clause
+/// missing its 0 terminator.
 CnfFormula read_dimacs(std::istream& in);
 CnfFormula read_dimacs_string(const std::string& text);
 
@@ -49,7 +52,13 @@ struct SolverOutput {
     SolverStats stats;
 };
 
-SolverOutput parse_solver_output(std::istream& in);
-SolverOutput parse_solver_output_string(const std::string& text);
+/// `num_vars` is the variable count of the formula the solver was given.
+/// The text comes from another process, so it is untrusted: a model token
+/// that is not a whole base-10 int, or a literal naming a variable outside
+/// 1..num_vars, throws std::runtime_error (the model never grows past
+/// num_vars entries).
+SolverOutput parse_solver_output(std::istream& in, int num_vars);
+SolverOutput parse_solver_output_string(const std::string& text,
+                                        int num_vars);
 
 }  // namespace gshe::sat

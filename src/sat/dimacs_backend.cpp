@@ -217,7 +217,8 @@ SolveResult DimacsBackend::solve(const std::vector<Lit>& assumptions) {
             "failed or the child died on an unexpected signal): " +
             command_);
 
-    const SolverOutput parsed = parse_solver_output_string(output);
+    const SolverOutput parsed =
+        parse_solver_output_string(output, cnf_.num_vars);
     stats_.conflicts += parsed.stats.conflicts;
     stats_.decisions += parsed.stats.decisions;
     stats_.propagations += parsed.stats.propagations;

@@ -132,6 +132,11 @@ JobResult sample_result() {
     r.result.solver_stats.restarts = 4;
     r.result.solver_stats.learnt_clauses = 88;
     r.result.solver_stats.removed_clauses = 11;
+    r.result.solver_stats.inprocessings = 7;
+    r.result.solver_stats.gc_runs = 2;
+    r.result.solver_stats.vivified_lits = 19;
+    r.result.solver_stats.xors_recovered = 5;
+    r.result.solver_stats.eliminated_vars = 13;
     r.oracle_stats.calls = 21;
     r.oracle_stats.single_calls = 4;
     r.oracle_stats.patterns = 1092;
@@ -167,8 +172,11 @@ JobSpec sample_spec() {
     spec.attack_options.solver.use_restarts = false;
     spec.attack_options.solver.use_learning = true;
     spec.attack_options.solver.use_phase_saving = false;
-    spec.attack_options.solver.var_decay = 0.875;
-    spec.attack_options.solver.clause_decay = 0.5;
+    spec.attack_options.solver.reduce_interval = 2048;
+    spec.attack_options.solver.use_vivification = true;
+    spec.attack_options.solver.use_xor_recovery = false;
+    spec.attack_options.solver.use_bve = true;
+    spec.attack_options.solver.inprocess_interval = 1024;
     return spec;
 }
 
@@ -201,9 +209,15 @@ void expect_specs_equal(const JobSpec& a, const JobSpec& b) {
               b.attack_options.solver.use_learning);
     EXPECT_EQ(a.attack_options.solver.use_phase_saving,
               b.attack_options.solver.use_phase_saving);
-    EXPECT_EQ(a.attack_options.solver.var_decay, b.attack_options.solver.var_decay);
-    EXPECT_EQ(a.attack_options.solver.clause_decay,
-              b.attack_options.solver.clause_decay);
+    EXPECT_EQ(a.attack_options.solver.reduce_interval,
+              b.attack_options.solver.reduce_interval);
+    EXPECT_EQ(a.attack_options.solver.use_vivification,
+              b.attack_options.solver.use_vivification);
+    EXPECT_EQ(a.attack_options.solver.use_xor_recovery,
+              b.attack_options.solver.use_xor_recovery);
+    EXPECT_EQ(a.attack_options.solver.use_bve, b.attack_options.solver.use_bve);
+    EXPECT_EQ(a.attack_options.solver.inprocess_interval,
+              b.attack_options.solver.inprocess_interval);
 }
 
 void expect_results_equal(const JobResult& a, const JobResult& b) {
@@ -235,6 +249,15 @@ void expect_results_equal(const JobResult& a, const JobResult& b) {
               b.result.solver_stats.learnt_clauses);
     EXPECT_EQ(a.result.solver_stats.removed_clauses,
               b.result.solver_stats.removed_clauses);
+    EXPECT_EQ(a.result.solver_stats.inprocessings,
+              b.result.solver_stats.inprocessings);
+    EXPECT_EQ(a.result.solver_stats.gc_runs, b.result.solver_stats.gc_runs);
+    EXPECT_EQ(a.result.solver_stats.vivified_lits,
+              b.result.solver_stats.vivified_lits);
+    EXPECT_EQ(a.result.solver_stats.xors_recovered,
+              b.result.solver_stats.xors_recovered);
+    EXPECT_EQ(a.result.solver_stats.eliminated_vars,
+              b.result.solver_stats.eliminated_vars);
     EXPECT_EQ(a.oracle_stats.calls, b.oracle_stats.calls);
     EXPECT_EQ(a.oracle_stats.single_calls, b.oracle_stats.single_calls);
     EXPECT_EQ(a.oracle_stats.patterns, b.oracle_stats.patterns);
@@ -341,7 +364,10 @@ TEST(CheckpointRecord, MalformedAndWrongVersionRejected) {
     for (const std::size_t keep : {0ul, 1ul, 10ul, good.size() / 2, good.size() - 1})
         EXPECT_FALSE(checkpoint::decode_record(good.substr(0, keep)).has_value())
             << keep;
-    // Unsupported version.
+    // Unsupported versions: every earlier one and a future one.
+    for (std::uint64_t v = 1; v < checkpoint::kJournalVersion; ++v)
+        EXPECT_FALSE(checkpoint::decode_record(with_version(good, v)).has_value())
+            << v;
     EXPECT_FALSE(checkpoint::decode_record(with_version(good, 9)).has_value());
     // Bad status string.
     std::string bad_status = good;
@@ -463,25 +489,28 @@ TEST(CheckpointResume, StaleRecordsAreIgnoredAndDropped) {
     }
 }
 
-TEST(CheckpointResume, VersionOneRecordOfTheSameSpecIsDroppedAndReruns) {
-    // A default spec serializes to the same JSON, and so to the same job
-    // key, as under journal version 1, when it named a different attack
-    // pipeline. A version-1 record must therefore be refused, never
-    // replayed as a result of the current pipeline.
+TEST(CheckpointResume, PreviousVersionRecordOfTheSameSpecIsDroppedAndReruns) {
+    // Fields leave the spec between journal versions (the attack-mode axes,
+    // then the solver's search-heuristic knobs), so an older record can
+    // carry the current job key while describing a configuration the
+    // current decoder drops. A record of the previous version must
+    // therefore be refused, never replayed as a current result.
+    static_assert(checkpoint::kJournalVersion >= 2);
     const auto jobs = matrix12();
     const std::string spec = checkpoint::spec_json(jobs[0]);
-    for (const char* gone : {"encoder", "extraction", "dip_support"})
+    for (const char* gone : {"encoder", "extraction", "dip_support",
+                             "var_decay", "restart_luby", "glue_keep_lbd"})
         EXPECT_EQ(spec.find(gone), std::string::npos) << gone;
 
-    ScratchJournal scratch("v1");
+    ScratchJournal scratch("previous_version");
     const CampaignResult full =
         CampaignRunner(test_options(1, scratch.path)).run(jobs);
     const std::string golden_csv = campaign_csv(full);
     std::vector<std::string> journal = scratch.lines();
     ASSERT_EQ(journal.size(), 12u);
 
-    // One record as a version-1 writer would have left it: the same key
-    // and spec, with a result the current pipeline does not produce.
+    // One record as a previous-version writer would have left it: the same
+    // key and spec, with a result the current pipeline does not produce.
     const auto record = checkpoint::decode_record(journal[3]);
     ASSERT_TRUE(record.has_value());
     const std::size_t index = record->result.index;
@@ -492,7 +521,7 @@ TEST(CheckpointResume, VersionOneRecordOfTheSameSpecIsDroppedAndReruns) {
     journal[3] = with_version(
         checkpoint::encode_record(record->key, record->spec, old_result,
                                   record->stamp),
-        1);
+        checkpoint::kJournalVersion - 1);
     EXPECT_FALSE(checkpoint::decode_record(journal[3]).has_value());
     scratch.write_lines(journal);
 

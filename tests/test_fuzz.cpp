@@ -1,13 +1,16 @@
-// Seeded, fixed-iteration mutation fuzzing of the two parsers that read
-// files a campaign did not write itself: the checkpoint journal decoder
-// (checkpoint::decode_record) and the .bench reader (read_bench_string).
+// Seeded, fixed-iteration mutation fuzzing of the parsers that read text a
+// campaign did not write itself: the checkpoint journal decoder
+// (checkpoint::decode_record), the .bench reader (read_bench_string), the
+// DIMACS reader (read_dimacs_string) and the external solver's output
+// (parse_solver_output_string).
 //
 // Each iteration takes a valid seed input, applies a few random byte-level
 // mutations (bit flips, deletions, insertions of syntax characters,
 // duplications, truncation, extreme numbers, splices) and feeds the result
 // to the parser. The contract under test: the journal decoder never throws
-// and answers std::nullopt for anything it cannot use; the .bench reader
-// either parses or throws std::runtime_error. Everything else — a crash, a
+// and answers std::nullopt for anything it cannot use; the other three
+// either parse or throw std::runtime_error, and a parsed solver model never
+// grows past the formula's variable count. Everything else — a crash, a
 // hang, another exception type, or (in the GSHE_ASAN build) an out-of-bounds
 // access — fails the suite. The seeds are fixed, so a finding reproduces
 // bit for bit.
@@ -24,6 +27,7 @@
 #include "engine/checkpoint.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/generator.hpp"
+#include "sat/dimacs.hpp"
 
 namespace gshe {
 namespace {
@@ -40,8 +44,18 @@ const std::vector<std::string> kExtremes = {
     "-1",                   "2147483648",
 };
 
+/// kExtremes plus the edges of the 32-bit literal range and tokens that are
+/// only partly numeric, for the DIMACS-literal parsers.
+const std::vector<std::string> kLiteralExtremes = [] {
+    std::vector<std::string> v = kExtremes;
+    v.insert(v.end(), {"-2147483648", "2147483647", "9223372036854775807",
+                       "-9223372036854775808", "3000000000", "3abc", "x"});
+    return v;
+}();
+
 std::string mutate(std::string s, const std::vector<std::string>& seeds,
-                   Rng& rng) {
+                   Rng& rng,
+                   const std::vector<std::string>& extremes = kExtremes) {
     const int rounds = 1 + static_cast<int>(rng.below(4));
     for (int r = 0; r < rounds; ++r) {
         const std::size_t n = s.size();
@@ -70,7 +84,7 @@ std::string mutate(std::string s, const std::vector<std::string>& seeds,
                 if (d == std::string::npos) break;
                 const std::size_t end = s.find_first_not_of("0123456789", d);
                 s.replace(d, (end == std::string::npos ? s.size() : end) - d,
-                          kExtremes[rng.below(kExtremes.size())]);
+                          extremes[rng.below(extremes.size())]);
                 break;
             }
             default: {  // splice in a span of another seed
@@ -145,6 +159,21 @@ std::vector<std::string> bench_seeds() {
             "z = NOT(n2)\n"};
 }
 
+std::vector<std::string> dimacs_seeds() {
+    return {"c a small formula\np cnf 5 4\n1 -2 0\n2 3 -4 0\n-1 5 0\n4 0\n",
+            "p cnf 3 2\n-1 2 3 0 1 -3\n0\nc trailing comment\n"};
+}
+
+/// Variable count of the formula every solver-output seed answers.
+constexpr int kOutputVars = 6;
+
+std::vector<std::string> solver_output_seeds() {
+    return {"c fake solver banner\ns SATISFIABLE\nv 1 -2 3\nv -4 5 -6 0\n",
+            "c restarts              : 3\nc conflicts             : 1234\n"
+            "propagations            : 91011\ns UNSATISFIABLE\n",
+            "SATISFIABLE\n-1 2 -3 4 -5 6 0\n"};
+}
+
 // ---- the fuzz loops ---------------------------------------------------------
 
 TEST(Fuzz, JournalDecoderNeverThrowsOnMutatedRecords) {
@@ -181,6 +210,55 @@ TEST(Fuzz, BenchReaderParsesOrThrowsRuntimeError) {
             mutate(seeds[rng.below(seeds.size())], seeds, rng);
         try {
             (void)netlist::read_bench_string(text);
+            ++parsed;
+        } catch (const std::runtime_error&) {
+            // The documented rejection.
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "iteration " << i << " threw a non-runtime_error "
+                          << e.what() << " on:\n" << text;
+        }
+    }
+    EXPECT_GT(parsed, kIterations / 100);
+}
+
+TEST(Fuzz, DimacsReaderParsesOrThrowsRuntimeError) {
+    const std::vector<std::string> seeds = dimacs_seeds();
+    for (const std::string& s : seeds)
+        ASSERT_NO_THROW(sat::read_dimacs_string(s));
+
+    Rng rng(0xd1ac5);
+    int parsed = 0;
+    for (int i = 0; i < kIterations; ++i) {
+        const std::string text =
+            mutate(seeds[rng.below(seeds.size())], seeds, rng, kLiteralExtremes);
+        try {
+            (void)sat::read_dimacs_string(text);
+            ++parsed;
+        } catch (const std::runtime_error&) {
+            // The documented rejection.
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "iteration " << i << " threw a non-runtime_error "
+                          << e.what() << " on:\n" << text;
+        }
+    }
+    EXPECT_GT(parsed, kIterations / 100);
+}
+
+TEST(Fuzz, SolverOutputParsesWithinTheFormulaOrThrowsRuntimeError) {
+    const std::vector<std::string> seeds = solver_output_seeds();
+    for (const std::string& s : seeds)
+        ASSERT_NO_THROW(sat::parse_solver_output_string(s, kOutputVars));
+
+    Rng rng(0x5017);
+    int parsed = 0;
+    for (int i = 0; i < kIterations; ++i) {
+        const std::string text =
+            mutate(seeds[rng.below(seeds.size())], seeds, rng, kLiteralExtremes);
+        try {
+            const sat::SolverOutput out =
+                sat::parse_solver_output_string(text, kOutputVars);
+            EXPECT_LE(out.model.size(), static_cast<std::size_t>(kOutputVars))
+                << "iteration " << i << " on:\n" << text;
             ++parsed;
         } catch (const std::runtime_error&) {
             // The documented rejection.

@@ -177,7 +177,7 @@ TEST(Solver, AssumptionsContradictoryOnlyMidSearch) {
 }
 
 TEST(Solver, DisabledRestartsNeverRestart) {
-    // Regression: restart_base * ~0ULL used to wrap modulo 2^64 and leave a
+    // Regression: kRestartBase * ~0ULL used to wrap modulo 2^64 and leave a
     // tiny restart interval despite use_restarts=false.
     const int holes = 5, pigeons = 6;
     Solver::Options opts;
@@ -492,8 +492,21 @@ TEST(Dimacs, ParsesCommentsAndHeader) {
     EXPECT_TRUE(s.model_bool(1));  // var 2 (1-based) forced true
 }
 
-TEST(Dimacs, RejectsUnterminatedClause) {
+TEST(Dimacs, RejectsMalformedClauses) {
     EXPECT_THROW(read_dimacs_string("p cnf 2 1\n1 -2\n"), std::runtime_error);
+    // Clause tokens that are not whole ints in the Lit range: each is a
+    // std::runtime_error, not a foreign exception, a silent prefix parse or
+    // a signed overflow in the variable index or Lit code.
+    for (const char* bad : {"x", "99999999999", "3abc", "-2147483648",
+                            "2147483647", "1073741825"})
+        EXPECT_THROW(read_dimacs_string(std::string("p cnf 3 1\n1 ") + bad +
+                                        " 0\n"),
+                     std::runtime_error)
+            << bad;
+    // The largest variable whose literals fit a Lit is still read.
+    const CnfFormula f = read_dimacs_string("-1073741824 0\n");
+    EXPECT_EQ(f.num_vars, 1073741824);
+    EXPECT_EQ(f.clauses.at(0).at(0), Lit(1073741823, true));
 }
 
 TEST(Dimacs, RoundTripSurvivesInterleavedComments) {
@@ -520,6 +533,9 @@ TEST(Dimacs, RejectsWrongArityHeader) {
     EXPECT_THROW(read_dimacs_string("p cnf\n"), std::runtime_error);
     EXPECT_THROW(read_dimacs_string("p cnf x y\n1 0\n"), std::runtime_error);
     EXPECT_THROW(read_dimacs_string("p sat 2 1\n1 0\n"), std::runtime_error);
+    // More variables than a Lit code can number.
+    EXPECT_THROW(read_dimacs_string("p cnf 2147483647 0\n"),
+                 std::runtime_error);
 }
 
 // ---- solver output parsing -------------------------------------------------
@@ -530,7 +546,8 @@ TEST(SolverOutput, ParsesModelSplitAcrossVRecords) {
         "s SATISFIABLE\n"
         "v 1 -2\n"
         "v 3\n"
-        "v -4 0\n");
+        "v -4 0\n",
+        4);
     EXPECT_EQ(out.status, SolveResult::Sat);
     EXPECT_TRUE(out.model_complete);
     ASSERT_EQ(out.model.size(), 4u);
@@ -541,25 +558,25 @@ TEST(SolverOutput, ParsesModelSplitAcrossVRecords) {
 }
 
 TEST(SolverOutput, ParsesUnsatAndMissingStatus) {
-    EXPECT_EQ(parse_solver_output_string("s UNSATISFIABLE\n").status,
+    EXPECT_EQ(parse_solver_output_string("s UNSATISFIABLE\n", 0).status,
               SolveResult::Unsat);
     // A killed solver (wall-clock timeout) emits no status line at all.
-    EXPECT_EQ(parse_solver_output_string("c half-finished banner\n").status,
+    EXPECT_EQ(parse_solver_output_string("c half-finished banner\n", 0).status,
               SolveResult::Unknown);
-    EXPECT_EQ(parse_solver_output_string("s INDETERMINATE\n").status,
+    EXPECT_EQ(parse_solver_output_string("s INDETERMINATE\n", 0).status,
               SolveResult::Unknown);
 }
 
 TEST(SolverOutput, AcceptsBareMiniSatStatusLines) {
-    const SolverOutput sat = parse_solver_output_string("SATISFIABLE\n");
+    const SolverOutput sat = parse_solver_output_string("SATISFIABLE\n", 0);
     EXPECT_EQ(sat.status, SolveResult::Sat);
-    EXPECT_EQ(parse_solver_output_string("UNSATISFIABLE\n").status,
+    EXPECT_EQ(parse_solver_output_string("UNSATISFIABLE\n", 0).status,
               SolveResult::Unsat);
 }
 
 TEST(SolverOutput, MissingModelTerminatorIsFlagged) {
     const SolverOutput out = parse_solver_output_string(
-        "s SATISFIABLE\nv 1 -2\n");  // truncated mid-model
+        "s SATISFIABLE\nv 1 -2\n", 2);  // truncated mid-model
     EXPECT_EQ(out.status, SolveResult::Sat);
     EXPECT_FALSE(out.model_complete);
 }
@@ -570,7 +587,8 @@ TEST(SolverOutput, ScrapesWorkCountersFromCommentLines) {
         "c conflicts             : 1234   (56 /sec)\n"
         "c decisions             : 5678   (1.2 % random)\n"
         "propagations            : 91011  (no c prefix: MiniSat style)\n"
-        "s UNSATISFIABLE\n");
+        "s UNSATISFIABLE\n",
+        0);
     EXPECT_EQ(out.status, SolveResult::Unsat);
     EXPECT_EQ(out.stats.restarts, 3u);
     EXPECT_EQ(out.stats.conflicts, 1234u);
@@ -578,18 +596,34 @@ TEST(SolverOutput, ScrapesWorkCountersFromCommentLines) {
     EXPECT_EQ(out.stats.propagations, 91011u);
 }
 
+TEST(SolverOutput, ModelLiteralsOutsideTheFormulaThrowRuntimeError) {
+    // The model names variables the formula does not have: no allocation
+    // sized by the subprocess, no signed overflow, one std::runtime_error.
+    for (const char* bad :
+         {"v 9223372036854775807 0\n", "v -9223372036854775808 0\n",
+          "v 3000000000 0\n", "v 1 -4 0\n", "v 2 x 0\n", "v 3abc 0\n",
+          "v -2147483648 0\n"})
+        EXPECT_THROW(parse_solver_output_string(
+                         std::string("s SATISFIABLE\n") + bad, 3),
+                     std::runtime_error)
+            << bad;
+    // A model ending exactly at the formula's last variable is accepted.
+    const SolverOutput out =
+        parse_solver_output_string("s SATISFIABLE\nv -1 2 -3 0\n", 3);
+    EXPECT_TRUE(out.model_complete);
+    EXPECT_EQ(out.model.size(), 3u);
+}
+
 // ---- backend registry ------------------------------------------------------
 
-TEST(BackendRegistry, RegistersInternalPortfolioAndDimacs) {
+TEST(BackendRegistry, RegistersInternalAndDimacs) {
     const auto names = backend_names();
-    ASSERT_EQ(names.size(), 3u);
+    ASSERT_EQ(names.size(), 2u);
     EXPECT_EQ(names[0], "internal");
-    EXPECT_EQ(names[1], "portfolio");
-    EXPECT_EQ(names[2], "dimacs");
+    EXPECT_EQ(names[1], "dimacs");
     EXPECT_NE(find_backend("internal"), nullptr);
     EXPECT_TRUE(backend_by_name("internal").available());
     EXPECT_FALSE(backend_by_name("internal").label().empty());
-    EXPECT_TRUE(backend_by_name("portfolio").available());
 }
 
 TEST(BackendRegistry, UnknownNameFailsListingRegisteredBackends) {
@@ -689,6 +723,18 @@ TEST(DimacsBackend, SatWithTruncatedModelIsUnknown) {
     backend.new_var();
     backend.new_var();
     EXPECT_EQ(backend.solve(), SolveResult::Unknown);
+}
+
+TEST(DimacsBackend, ModelNamingAVariableOutsideTheFormulaThrows) {
+    // The model is bounded by the exported formula's variable count, so a
+    // misbehaving solver cannot make the backend allocate for it.
+    const FakeSolver fake("oversized",
+                          "echo 's SATISFIABLE'\n"
+                          "echo 'v 1 -2 3000000000 0'\n");
+    DimacsBackend backend(fake.path);
+    backend.new_var();
+    backend.new_var();
+    EXPECT_THROW(backend.solve(), std::runtime_error);
 }
 
 TEST(DimacsBackend, MissingBinaryThrowsInsteadOfTimingOut) {

@@ -75,8 +75,6 @@ struct Cli {
     std::vector<std::string> defenses = {"camo", "sarlock", "stochastic"};
     std::vector<std::string> attacks = {"sat", "double_dip"};
     std::string solver = "internal";
-    int portfolio_width = 4;
-    bool portfolio_race = false;
     std::vector<std::string> inprocess;  // of: viv, xor, bve
     std::uint64_t inprocess_interval = 8192;
     int n_seeds = 2;
@@ -108,15 +106,8 @@ void usage() {
         "                     also: delay_aware, dynamic)\n"
         "  --attacks=a,...    attacks (default sat,double_dip; also: appsat)\n"
         "  --solver=NAME      SAT backend for every attack (default internal;\n"
-        "                     'portfolio' races K diversified internal CDCL\n"
-        "                     workers per solve; 'dimacs' shells out to the\n"
-        "                     binary named by GSHE_DIMACS_SOLVER)\n"
-        "  --portfolio-width=K  portfolio worker count (default 4; width 1\n"
-        "                     behaves bit-for-bit like --solver=internal)\n"
-        "  --portfolio-race   wall-clock race tier: first decisive worker\n"
-        "                     cancels the rest and workers exchange learned\n"
-        "                     clauses (declared non-deterministic; the\n"
-        "                     budgeted default keeps CSVs byte-identical)\n"
+        "                     'dimacs' shells out to the binary named by\n"
+        "                     GSHE_DIMACS_SOLVER)\n"
         "  --inprocess=p,...  internal-solver inprocessing passes: viv\n"
         "                     (clause vivification), xor (XOR recovery +\n"
         "                     GF(2) elimination), bve (bounded variable\n"
@@ -270,14 +261,12 @@ bool parse(Cli& cli, int argc, char** argv, bool& exit_ok) {
         if (arg == "--quiet") { cli.quiet = true; continue; }
         if (arg == "--resume") { cli.resume = true; continue; }
         if (arg == "--dry-run") { cli.dry_run = true; continue; }
-        if (arg == "--portfolio-race") { cli.portfolio_race = true; continue; }
         if (arg.find('=') == std::string::npos) return false;
         if (starts("--threads=")) cli.threads = int_flag("--threads", val(), 0, 4096);
         else if (starts("--circuits=")) cli.circuits = split(val(), ',');
         else if (starts("--defenses=")) cli.defenses = split(val(), ',');
         else if (starts("--attacks=")) cli.attacks = split(val(), ',');
         else if (starts("--solver=")) cli.solver = val();
-        else if (starts("--portfolio-width=")) cli.portfolio_width = int_flag("--portfolio-width", val(), 1, 64);
         else if (starts("--inprocess=")) cli.inprocess = split(val(), ',');
         else if (starts("--inprocess-interval=")) cli.inprocess_interval = u64_flag("--inprocess-interval", val());
         else if (starts("--seeds=")) cli.n_seeds = int_flag("--seeds", val(), 1, 1 << 20);
@@ -376,8 +365,6 @@ int main(int argc, char** argv) {
     attack_options.timeout_seconds = cli.timeout_seconds;
     attack_options.max_conflicts = cli.max_conflicts;
     attack_options.solver_backend = cli.solver;
-    attack_options.solver.portfolio_width = cli.portfolio_width;
-    attack_options.solver.portfolio_race = cli.portfolio_race;
     attack_options.solver.inprocess_interval = cli.inprocess_interval;
     for (const auto& pass : cli.inprocess) {
         if (pass == "viv") attack_options.solver.use_vivification = true;
