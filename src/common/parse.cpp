@@ -18,6 +18,24 @@ std::optional<std::uint64_t> parse_u64(std::string_view s) {
     return value;
 }
 
+std::optional<std::uint64_t> parse_seed(std::string_view s) {
+    if (s.size() < 2 || s[0] != '0' || (s[1] != 'x' && s[1] != 'X'))
+        return parse_u64(s);
+    s.remove_prefix(2);
+    if (s.empty()) return std::nullopt;
+    std::uint64_t value = 0;
+    for (const char c : s) {
+        int digit = 0;
+        if (c >= '0' && c <= '9') digit = c - '0';
+        else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
+        else if (c >= 'A' && c <= 'F') digit = c - 'A' + 10;
+        else return std::nullopt;
+        if (value > (UINT64_MAX >> 4)) return std::nullopt;  // overflow
+        value = value << 4 | static_cast<std::uint64_t>(digit);
+    }
+    return value;
+}
+
 std::optional<std::int64_t> parse_i64(std::string_view s) {
     const bool negative = !s.empty() && s.front() == '-';
     const auto magnitude = parse_u64(negative ? s.substr(1) : s);

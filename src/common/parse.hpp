@@ -17,6 +17,11 @@ namespace gshe {
 /// trailing characters and values above UINT64_MAX.
 std::optional<std::uint64_t> parse_u64(std::string_view s);
 
+/// Unsigned 64-bit seed: decimal as parse_u64, or hexadecimal after a
+/// "0x"/"0X" prefix (seeds are printed in hex, e.g. campaign_seed=0x6a0b5eed).
+/// Rejects a bare prefix, non-hex digits and values above UINT64_MAX.
+std::optional<std::uint64_t> parse_seed(std::string_view s);
+
 /// Decimal signed 64-bit integer (optional leading '-'). Rejects empty
 /// input, whitespace, trailing characters and out-of-range values.
 std::optional<std::int64_t> parse_i64(std::string_view s);

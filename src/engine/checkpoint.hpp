@@ -56,7 +56,10 @@ namespace gshe::engine::checkpoint {
 /// describe a configuration the decoder can no longer represent (a
 /// multi-worker job, a non-default restart schedule) and would decode as a
 /// default spec, so version-2 records are refused as well.
-inline constexpr std::uint64_t kJournalVersion = 3;
+/// Version 4: the propagation-complete CNF front end (truth-table camo
+/// cells, prime-implicant gates, root-fixed folding) changes every attack's
+/// trajectory under an unchanged spec, so version-3 records are refused.
+inline constexpr std::uint64_t kJournalVersion = 4;
 
 /// Shard provenance stamped on every record (additive to version 1): which
 /// plan the job belongs to and which shard's journal it was written into.

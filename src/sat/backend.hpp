@@ -122,6 +122,15 @@ public:
     virtual LBool model_value(Var v) const = 0;
     bool model_bool(Var v) const { return model_value(v) == LBool::True; }
 
+    /// Value of `l` when the formula alone fixes it (the internal solver:
+    /// assigned at decision level 0), else Undef. The CNF encoder folds such
+    /// literals to constants. The default, kept by the "dimacs" backend,
+    /// knows of no fixed literal, which is always sound.
+    virtual LBool fixed_value(Lit l) const {
+        (void)l;
+        return LBool::Undef;
+    }
+
     // ---- budget / stats / identity -----------------------------------------
     virtual void set_budget(const SolverBudget& b) = 0;
     /// Convenience used by the attack loops: remaining wall clock plus the

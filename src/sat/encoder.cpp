@@ -30,14 +30,6 @@ std::uint8_t flip_b(std::uint8_t tt) {
     return static_cast<std::uint8_t>(((tt & 0b0101u) << 1) | ((tt & 0b1010u) >> 1));
 }
 
-void append_i32(std::string& s, std::int32_t v) {
-    const auto u = static_cast<std::uint32_t>(v);
-    s.push_back(static_cast<char>(u & 0xFF));
-    s.push_back(static_cast<char>((u >> 8) & 0xFF));
-    s.push_back(static_cast<char>((u >> 16) & 0xFF));
-    s.push_back(static_cast<char>((u >> 24) & 0xFF));
-}
-
 std::vector<int> camo_key_offsets(const netlist::Netlist& nl, int* total) {
     std::vector<int> off;
     off.reserve(nl.camo_cells().size());
@@ -46,9 +38,12 @@ std::vector<int> camo_key_offsets(const netlist::Netlist& nl, int* total) {
         off.push_back(bits);
         bits += c.key_bits();
     }
-    if (total != nullptr) *total = bits;
+    *total = bits;
     return off;
 }
+
+/// Sentinel literal code of an absent LutKey slot.
+constexpr std::int32_t kNoLut = -3;
 
 std::uint64_t num_vars(const SolverBackend& s) {
     return static_cast<std::uint64_t>(s.num_vars());
@@ -75,13 +70,19 @@ CircuitEncoder::CircuitEncoder(SolverBackend& solver) : solver_(solver) {}
 
 CircuitEncoder::~CircuitEncoder() = default;
 
-const netlist::Simulator& CircuitEncoder::sim_for(
-    const netlist::Netlist& nl) const {
-    if (sim_nl_ != &nl) {
-        sim_ = std::make_unique<netlist::Simulator>(nl);
-        sim_nl_ = &nl;
+const CircuitEncoder::NetlistCache& CircuitEncoder::cache_for(
+    const netlist::Netlist& nl) {
+    if (cache_.nl != &nl) {
+        cache_.sim = std::make_unique<netlist::Simulator>(nl);
+        cache_.key_offset = camo_key_offsets(nl, &cache_.key_bits);
+        const std::vector<char>& cone = nl.key_cone();
+        cache_.cone_order.clear();
+        for (const GateId id : nl.topological_order())
+            if (cone[id] != 0) cache_.cone_order.push_back(id);
+        cache_.sim_gates = nl.logic_gate_count() - nl.key_cone_size();
+        cache_.nl = &nl;
     }
-    return *sim_;
+    return cache_;
 }
 
 Lit CircuitEncoder::constant(bool value) {
@@ -129,12 +130,19 @@ void CircuitEncoder::fix_var(Var v, bool value) {
     count_since(v0, c0);
 }
 
+CircuitEncoder::XLit CircuitEncoder::fold(XLit x) const {
+    if (x.is_const()) return x;
+    const LBool v = solver_.fixed_value(x.as_lit());
+    return v == LBool::Undef ? x : XLit::constant(v == LBool::True);
+}
+
 CircuitEncoder::XLit CircuitEncoder::xlit_of(Lit l) const {
     // Map the shared constant literal back to an encode-time constant so
-    // downstream folding sees through it (e.g. a folded PO fed to a miter).
+    // downstream folding sees through it (e.g. a folded PO fed to a miter),
+    // also on a backend that reports no root-fixed literals.
     if (const_var_ != kNoVar && l.var() == const_var_)
         return XLit::constant(!l.negated());
-    return XLit::lit(l);
+    return fold(XLit::lit(l));
 }
 
 Lit CircuitEncoder::realize(XLit x) {
@@ -214,79 +222,240 @@ CircuitEncoder::XLit CircuitEncoder::encode_fn(core::Bool2 fn, XLit a, XLit b) {
         y = it->second;
     } else {
         y = solver_.new_var();
+        // Prime implicants: one binary clause per controlling input value
+        // (f(va, *) constant), then a row clause for each row that no
+        // controlling value covers. Unit propagation then derives every
+        // output value the inputs force.
         const core::Bool2 cfn(tt);
+        bool a_controls[2] = {false, false};
+        bool b_controls[2] = {false, false};
+        for (int v = 0; v < 2; ++v) {
+            const bool bit = v != 0;
+            if (cfn.eval(bit, false) == cfn.eval(bit, true)) {
+                a_controls[v] = true;
+                solver_.add_clause(guard(la.var(), bit),
+                                   equal(y, cfn.eval(bit, false)));
+            }
+            if (cfn.eval(false, bit) == cfn.eval(true, bit)) {
+                b_controls[v] = true;
+                solver_.add_clause(guard(lb.var(), bit),
+                                   equal(y, cfn.eval(false, bit)));
+            }
+        }
         for (int va = 0; va < 2; ++va)
             for (int vb = 0; vb < 2; ++vb)
-                solver_.add_clause(guard(la.var(), va != 0),
-                                   guard(lb.var(), vb != 0),
-                                   equal(y, cfn.eval(va != 0, vb != 0)));
+                if (!a_controls[va] && !b_controls[vb])
+                    solver_.add_clause(guard(la.var(), va != 0),
+                                       guard(lb.var(), vb != 0),
+                                       equal(y, cfn.eval(va != 0, vb != 0)));
         plain_hash_.emplace(key, y);
     }
     return XLit::lit(Lit(y, negate_out));
 }
 
-CircuitEncoder::XLit CircuitEncoder::encode_camo(const netlist::CamoCell& cell,
-                                                 XLit a, XLit b, bool has_b,
-                                                 const std::vector<Var>& key_bits) {
-    // Hash key: candidate set + key block + input codes. Two sites agree on
-    // all three only when their definitions would be clause-identical.
-    std::string hk;
-    hk.reserve(cell.candidates.size() + key_bits.size() * 4 + 12);
-    for (const core::Bool2 fn : cell.candidates)
-        hk.push_back(static_cast<char>(fn.truth_table()));
-    hk.push_back('\xff');
-    for (const Var v : key_bits) append_i32(hk, v);
-    append_i32(hk, a.code);
-    append_i32(hk, has_b ? b.code : XLit::kFalse - 1);
-    if (const auto it = camo_hash_.find(hk); it != camo_hash_.end()) {
-        ++stats_.hash_hits;
-        return XLit{it->second};
+const std::array<CircuitEncoder::XLit, 4>& CircuitEncoder::truth_table_of(
+    const netlist::CamoCell& cell, const Var* key_bits) {
+    const int bits = cell.key_bits();
+    const auto first = static_cast<std::size_t>(key_bits[0]);
+    if (first < block_of_var_.size() && block_of_var_[first] >= 0) {
+        const KeyBlock& kb =
+            blocks_[static_cast<std::size_t>(block_of_var_[first])];
+        if (kb.vars.size() != static_cast<std::size_t>(bits) ||
+            !std::equal(kb.vars.begin(), kb.vars.end(), key_bits))
+            throw std::invalid_argument(
+                "CircuitEncoder: key variable shared by two key blocks");
+        return kb.t;
     }
 
+    KeyBlock kb;
+    kb.vars.assign(key_bits, key_bits + bits);
     const std::size_t k = cell.candidates.size();
-    const int bits = cell.key_bits();
+    const std::size_t codes = std::size_t{1} << bits;
 
     // Forbid unused key codes — once per key block, not per encoded copy.
-    std::string block_key;
-    block_key.reserve(key_bits.size() * 4);
-    for (const Var v : key_bits) append_i32(block_key, v);
-    if (forbidden_done_.insert(std::move(block_key)).second) {
-        for (std::size_t c = k; c < (std::size_t{1} << bits); ++c) {
+    for (std::size_t c = k; c < codes; ++c) {
+        Clause cl;
+        for (int j = 0; j < bits; ++j)
+            cl.push_back(guard(kb.vars[static_cast<std::size_t>(j)],
+                               ((c >> j) & 1) != 0));
+        solver_.add_clause(std::move(cl));
+    }
+
+    // The codes still possible: used, and consistent with every key bit the
+    // solver has already fixed at the root.
+    std::vector<LBool> fixed(static_cast<std::size_t>(bits));
+    for (int j = 0; j < bits; ++j)
+        fixed[static_cast<std::size_t>(j)] =
+            solver_.fixed_value(Lit(kb.vars[static_cast<std::size_t>(j)], false));
+    std::vector<std::size_t> live;
+    for (std::size_t c = 0; c < k; ++c) {
+        bool ok = true;
+        for (int j = 0; j < bits && ok; ++j) {
+            const LBool f = fixed[static_cast<std::size_t>(j)];
+            ok = f == LBool::Undef || (f == LBool::True) == (((c >> j) & 1) != 0);
+        }
+        if (ok) live.push_back(c);
+    }
+
+    for (int r = 0; r < 4; ++r) {
+        const auto row = [&](std::size_t c) {
+            return cell.candidates[c].eval((r & 2) != 0, (r & 1) != 0);
+        };
+        // Constant: every live candidate agrees on this row. (No live code
+        // means the root is already refuted; any value will do.)
+        if (std::all_of(live.begin(), live.end(),
+                        [&](std::size_t c) { return row(c) == row(live[0]); })) {
+            kb.t[static_cast<std::size_t>(r)] =
+                XLit::constant(!live.empty() && row(live[0]));
+            continue;
+        }
+        // Alias: one free key bit equals the row (or its complement) under
+        // every live code.
+        bool aliased = false;
+        for (int j = 0; j < bits && !aliased; ++j) {
+            if (fixed[static_cast<std::size_t>(j)] != LBool::Undef) continue;
+            for (const bool neg : {false, true}) {
+                if (std::all_of(live.begin(), live.end(), [&](std::size_t c) {
+                        return ((((c >> j) & 1) != 0) != neg) == row(c);
+                    })) {
+                    kb.t[static_cast<std::size_t>(r)] = XLit::lit(
+                        Lit(kb.vars[static_cast<std::size_t>(j)], neg));
+                    aliased = true;
+                    break;
+                }
+            }
+        }
+        if (aliased) continue;
+        // Fresh variable defined by (key != c) or (t == f_c(r)) per code.
+        const Var t = solver_.new_var();
+        for (const std::size_t c : live) {
             Clause cl;
             for (int j = 0; j < bits; ++j)
-                cl.push_back(guard(key_bits[static_cast<std::size_t>(j)],
-                                   ((c >> j) & 1) != 0));
+                if (fixed[static_cast<std::size_t>(j)] == LBool::Undef)
+                    cl.push_back(guard(kb.vars[static_cast<std::size_t>(j)],
+                                       ((c >> j) & 1) != 0));
+            cl.push_back(equal(t, row(c)));
             solver_.add_clause(std::move(cl));
         }
+        kb.t[static_cast<std::size_t>(r)] = XLit::lit(Lit(t, false));
     }
 
+    if (block_of_var_.size() <= first) block_of_var_.resize(first + 1, -1);
+    block_of_var_[first] = static_cast<std::int32_t>(blocks_.size());
+    blocks_.push_back(std::move(kb));
+    return blocks_.back().t;
+}
+
+CircuitEncoder::XLit CircuitEncoder::encode_camo(const netlist::CamoCell& cell,
+                                                 const Var* key_bits, XLit a,
+                                                 XLit b) {
+    if (cell.key_bits() == 0) {
+        // A single candidate is no secret: the plain gate.
+        return encode_fn(cell.candidates.at(0), a, b);
+    }
+    const std::array<XLit, 4>& t = truth_table_of(cell, key_bits);
+    return encode_lut({fold(t[0]), fold(t[1]), fold(t[2]), fold(t[3])}, a, b);
+}
+
+CircuitEncoder::XLit CircuitEncoder::encode_mux(XLit s, XLit hi, XLit lo) {
+    if (s.is_const()) return s.const_value() ? hi : lo;
+    // A data input on the select's own variable is known in its branch.
+    const Lit ls = s.as_lit();
+    if (!hi.is_const() && hi.as_lit().var() == ls.var())
+        hi = XLit::constant(hi.as_lit() == ls);
+    if (!lo.is_const() && lo.as_lit().var() == ls.var())
+        lo = XLit::constant(lo.as_lit() == ~ls);
+    if (hi == lo) return hi;
+    if (hi.is_const() && lo.is_const())
+        return unary_of(s, lo.const_value(), hi.const_value());
+    // One constant branch, or complementary branches: a plain 2-input gate
+    // over (s, other branch), bit (s << 1 | x) of the truth table.
+    if (lo.is_const())  // s ? x : lo
+        return encode_fn(core::Bool2(static_cast<std::uint8_t>(
+                             (lo.const_value() ? 0b0011u : 0u) | 0b1000u)),
+                         s, hi);
+    if (hi.is_const())  // s ? hi : x
+        return encode_fn(core::Bool2(static_cast<std::uint8_t>(
+                             0b0010u | (hi.const_value() ? 0b1100u : 0u))),
+                         s, lo);
+    if (hi == lo.negated()) return encode_fn(core::Bool2::XOR(), s, lo);
+
+    // Genuine multiplexer; a negated select swaps the branches.
+    if (ls.negated()) {
+        s = s.negated();
+        std::swap(hi, lo);
+    }
+    const LutKey key{{s.code, hi.code, lo.code, kNoLut, kNoLut, kNoLut}};
+    if (const auto it = lut_hash_.find(key); it != lut_hash_.end()) {
+        ++stats_.hash_hits;
+        return XLit::lit(Lit(it->second, false));
+    }
     const Var y = solver_.new_var();
-    for (std::size_t c = 0; c < k; ++c) {
-        Clause selector;
-        for (int j = 0; j < bits; ++j)
-            selector.push_back(guard(key_bits[static_cast<std::size_t>(j)],
-                                     ((c >> j) & 1) != 0));
-        const core::Bool2 fn = cell.candidates[c];
-        for (int va = 0; va < 2; ++va)
-            for (int vb = 0; vb < 2; ++vb) {
-                // Rows contradicting a constant input are vacuous; constant
-                // guards are dropped rather than materialized as variables.
-                if (a.is_const() && (va != 0) != a.const_value()) continue;
-                if (has_b && b.is_const() && (vb != 0) != b.const_value())
-                    continue;
-                Clause cl = selector;
-                if (!a.is_const()) cl.push_back(lit_guard(a.as_lit(), va != 0));
-                if (has_b && !b.is_const())
-                    cl.push_back(lit_guard(b.as_lit(), vb != 0));
-                cl.push_back(equal(y, fn.eval(va != 0, vb != 0)));
-                solver_.add_clause(std::move(cl));
-                if (!has_b) break;  // single-input: ignore vb
-            }
+    const Lit sel = s.as_lit();
+    solver_.add_clause(~sel, ~hi.as_lit(), equal(y, true));
+    solver_.add_clause(~sel, hi.as_lit(), equal(y, false));
+    solver_.add_clause(sel, ~lo.as_lit(), equal(y, true));
+    solver_.add_clause(sel, lo.as_lit(), equal(y, false));
+    lut_hash_.emplace(key, y);
+    return XLit::lit(Lit(y, false));
+}
+
+CircuitEncoder::XLit CircuitEncoder::encode_lut(std::array<XLit, 4> t, XLit a,
+                                                XLit b) {
+    // Reduce to a multiplexer whenever the lookup reads one input only.
+    if (a.is_const()) {
+        const int base = a.const_value() ? 2 : 0;
+        return encode_mux(b, t[static_cast<std::size_t>(base + 1)],
+                          t[static_cast<std::size_t>(base)]);
+    }
+    if (b.is_const()) {
+        const int col = b.const_value() ? 1 : 0;
+        return encode_mux(a, t[static_cast<std::size_t>(2 + col)],
+                          t[static_cast<std::size_t>(col)]);
+    }
+    if (a == b) return encode_mux(a, t[3], t[0]);
+    if (a == b.negated()) return encode_mux(a, t[2], t[1]);
+    if (t[0] == t[1] && t[2] == t[3]) return encode_mux(a, t[2], t[0]);
+    if (t[0] == t[2] && t[1] == t[3]) return encode_mux(b, t[1], t[0]);
+    // An entry on an input's own variable is known in its row.
+    for (int r = 0; r < 4; ++r) {
+        XLit& d = t[static_cast<std::size_t>(r)];
+        for (const auto& [in, v] : {std::pair{a, (r & 2) != 0},
+                                    std::pair{b, (r & 1) != 0}})
+            if (!d.is_const() && d.as_lit().var() == in.as_lit().var())
+                d = XLit::constant((d == in) == v);
+    }
+    if (std::all_of(t.begin(), t.end(), [](XLit x) { return x.is_const(); })) {
+        std::uint8_t tt = 0;
+        for (int r = 0; r < 4; ++r)
+            if (t[static_cast<std::size_t>(r)].const_value())
+                tt = static_cast<std::uint8_t>(tt | (1u << r));
+        return encode_fn(core::Bool2(tt), a, b);
     }
 
-    const Lit out(y, false);
-    camo_hash_.emplace(std::move(hk), out.code());
-    return XLit::lit(out);
+    const LutKey key{{a.code, b.code, t[0].code, t[1].code, t[2].code, t[3].code}};
+    if (const auto it = lut_hash_.find(key); it != lut_hash_.end()) {
+        ++stats_.hash_hits;
+        return XLit::lit(Lit(it->second, false));
+    }
+    // Two clauses per row with a literal entry, one per constant entry: at
+    // most 8 clauses of 4 literals.
+    const Var y = solver_.new_var();
+    const Lit la = a.as_lit();
+    const Lit lb = b.as_lit();
+    for (int r = 0; r < 4; ++r) {
+        const Lit ga = lit_guard(la, (r & 2) != 0);
+        const Lit gb = lit_guard(lb, (r & 1) != 0);
+        const XLit d = t[static_cast<std::size_t>(r)];
+        if (d.is_const()) {
+            solver_.add_clause(ga, gb, equal(y, d.const_value()));
+            continue;
+        }
+        solver_.add_clause(Clause{ga, gb, ~d.as_lit(), equal(y, true)});
+        solver_.add_clause(Clause{ga, gb, d.as_lit(), equal(y, false)});
+    }
+    lut_hash_.emplace(key, y);
+    return XLit::lit(Lit(y, false));
 }
 
 Encoding CircuitEncoder::encode(const netlist::Netlist& nl,
@@ -333,18 +502,14 @@ Encoding CircuitEncoder::encode(const netlist::Netlist& nl,
                 ++stats_.gates_folded;
                 break;
             case CellType::Logic: {
-                const XLit a = val[g.a];
+                const XLit a = fold(val[g.a]);
                 const XLit b =
-                    g.b == kNoGate ? XLit::constant(false) : val[g.b];
+                    g.b == kNoGate ? XLit::constant(false) : fold(val[g.b]);
                 if (g.is_camouflaged()) {
-                    const auto& cell =
-                        nl.camo_cells()[static_cast<std::size_t>(g.camo_index)];
-                    const int off =
-                        enc.key_offset[static_cast<std::size_t>(g.camo_index)];
-                    const std::vector<Var> kb(
-                        enc.keys.begin() + off,
-                        enc.keys.begin() + off + cell.key_bits());
-                    val[id] = encode_camo(cell, a, b, g.b != kNoGate, kb);
+                    const auto ci = static_cast<std::size_t>(g.camo_index);
+                    val[id] = encode_camo(
+                        nl.camo_cells()[ci],
+                        enc.keys.data() + enc.key_offset[ci], a, b);
                 } else {
                     val[id] = encode_fn(g.fn, a, b);
                 }
@@ -355,7 +520,7 @@ Encoding CircuitEncoder::encode(const netlist::Netlist& nl,
 
     enc.outs.reserve(nl.outputs().size());
     for (const netlist::PortRef& po : nl.outputs())
-        enc.outs.push_back(realize(val[po.gate]));
+        enc.outs.push_back(realize(fold(val[po.gate])));
     count_since(v0, c0);
     return enc;
 }
@@ -368,7 +533,7 @@ void CircuitEncoder::add_agreement(const netlist::Netlist& nl,
     // Cone-restricted sweep: only the steps feeding the key-cone frontier
     // and the primary outputs run, which is exactly the set
     // encode_agreement reads.
-    encode_agreement(nl, keys, x, y, sim_for(nl).run_frontier_single(x));
+    encode_agreement(nl, keys, x, y, cache_for(nl).sim->run_frontier_single(x));
     count_since(v0, c0, 1);
 }
 
@@ -378,7 +543,8 @@ void CircuitEncoder::add_agreement_pair(const netlist::Netlist& nl,
                                         const std::vector<bool>& x,
                                         const std::vector<bool>& y) {
     const std::uint64_t v0 = num_vars(solver_), c0 = num_clauses(solver_);
-    const std::span<const char> values = sim_for(nl).run_frontier_single(x);
+    const std::span<const char> values =
+        cache_for(nl).sim->run_frontier_single(x);
     encode_agreement(nl, keys1, x, y, values);
     encode_agreement(nl, keys2, x, y, values);
     count_since(v0, c0, 2);
@@ -391,7 +557,7 @@ void CircuitEncoder::add_agreement_batch(
     if (xs.size() != ys.size())
         throw std::invalid_argument("CircuitEncoder: batch size mismatch");
     const std::size_t n_pis = nl.inputs().size();
-    const netlist::Simulator& sim = sim_for(nl);
+    const netlist::Simulator& sim = *cache_for(nl).sim;
     const std::vector<GateId>& reads = nl.frontier_read_set();
     // Multi-word cone-restricted sweeps: up to kSweepWords x 64 queued
     // patterns share one pass over the frontier sub-plan.
@@ -433,9 +599,8 @@ void CircuitEncoder::encode_agreement(const netlist::Netlist& nl,
         throw std::invalid_argument("CircuitEncoder: agreement input size mismatch");
     if (y.size() != nl.outputs().size())
         throw std::invalid_argument("CircuitEncoder: agreement output size mismatch");
-    int total_key_bits = 0;
-    const std::vector<int> key_offset = camo_key_offsets(nl, &total_key_bits);
-    if (keys.size() != static_cast<std::size_t>(total_key_bits))
+    const NetlistCache& cache = cache_for(nl);
+    if (keys.size() != static_cast<std::size_t>(cache.key_bits))
         throw std::invalid_argument("CircuitEncoder: agreement key size mismatch");
 
     // The DIP is fixed, so everything outside the key cone is a known
@@ -444,36 +609,32 @@ void CircuitEncoder::encode_agreement(const netlist::Netlist& nl,
     // the key-dependent remainder is encoded, reading simulated constants at
     // the cone frontier.
     const std::vector<char>& cone = nl.key_cone();
+    const auto input = [&](GateId in) {
+        return cone[in] != 0 ? fold(cone_val_[in])
+                             : XLit::constant(values[in] != 0);
+    };
 
-    std::vector<XLit> val(nl.size(), XLit::constant(false));
-    for (const GateId id : nl.topological_order()) {
-        if (cone[id] == 0) continue;  // simulated, never encoded
+    cone_val_.resize(nl.size());
+    for (const GateId id : cache.cone_order) {
         const Gate& g = nl.gate(id);  // cone members are Logic by construction
-        const XLit a = cone[g.a] != 0 ? val[g.a]
-                                      : XLit::constant(values[g.a] != 0);
-        const XLit b =
-            g.b == kNoGate
-                ? XLit::constant(false)
-                : (cone[g.b] != 0 ? val[g.b] : XLit::constant(values[g.b] != 0));
+        const XLit a = input(g.a);
+        const XLit b = g.b == kNoGate ? XLit::constant(false) : input(g.b);
         if (g.is_camouflaged()) {
-            const auto& cell =
-                nl.camo_cells()[static_cast<std::size_t>(g.camo_index)];
-            const int off = key_offset[static_cast<std::size_t>(g.camo_index)];
-            const std::vector<Var> kb(keys.begin() + off,
-                                      keys.begin() + off + cell.key_bits());
-            val[id] = encode_camo(cell, a, b, g.b != kNoGate, kb);
+            const auto ci = static_cast<std::size_t>(g.camo_index);
+            cone_val_[id] = encode_camo(nl.camo_cells()[ci],
+                                        keys.data() + cache.key_offset[ci], a, b);
         } else {
-            val[id] = encode_fn(g.fn, a, b);
+            cone_val_[id] = encode_fn(g.fn, a, b);
         }
-        ++stats_.cone_gates;
     }
-    stats_.sim_gates += nl.logic_gate_count() - nl.key_cone_size();
+    stats_.cone_gates += cache.cone_order.size();
+    stats_.sim_gates += cache.sim_gates;
 
     for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
         const GateId d = nl.outputs()[o].gate;
         const bool want = y[o];
         if (cone[d] != 0) {
-            const XLit v = val[d];
+            const XLit v = fold(cone_val_[d]);
             if (v.is_const()) {
                 if (v.const_value() != want) contradict();
             } else {

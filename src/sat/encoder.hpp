@@ -2,24 +2,43 @@
 // Attack-encoding front end: one object that turns (camouflaged) netlists
 // into CNF for the oracle-guided attacks and the equivalence checker.
 //
-// A plain gate out = f(a, b) is defined by one clause per truth-table row:
-//   (a != va) or (b != vb) or (out == f(va, vb)).
-// A camouflaged gate with candidate set {f_0..f_{k-1}} reads ceil(log2 k)
-// *key variables*; each row clause of candidate c is guarded by "key == c",
-// and unused key codes (k not a power of two) are forbidden outright. For
-// the 16-function GSHE primitive the four key bits are literally the gate's
-// truth table — the densest possible key space, which is what drives the
-// Table IV results.
+// Every gate is encoded propagation-complete: whatever value its inputs
+// force on its output, unit propagation derives.
+//   * A plain gate out = f(a, b) gets one binary clause per controlling
+//     input value ("a = 0 forces out = 0" for an AND) and a row clause
+//     (a != va) or (b != vb) or (out == f(va, vb)) only for the rows no
+//     controlling value covers: 3 clauses for an AND-type gate, 4 ternary
+//     clauses for XOR/XNOR.
+//   * A camouflaged gate with candidate set {f_0..f_{k-1}} reads
+//     ceil(log2 k) *key variables* (code c selects f_c). Once per key block
+//     the encoder builds four truth-table literals t[r], r = 2a + b: a
+//     constant when every candidate agrees on row r; an alias of one key
+//     bit, in either polarity, when that bit equals row r for every code;
+//     else one fresh variable defined by (key != c) or (t = f_c(r)). Unused
+//     codes (k not a power of two) are forbidden, also once per block. For
+//     the 16-function GSHE primitive the four key bits are literally the
+//     truth table, so t[r] = key[r] with no clause at all — the densest
+//     possible key space, which is what drives the Table IV results. Each
+//     copy of the cell is then the lookup out = t[2a + b]: no variable and
+//     no clause when both inputs are constant, a 4-clause multiplexer
+//     (3 literals each) for one free input, 8 clauses of 4 literals for two.
 //
-// Three mechanisms stack on top of that row encoding:
+// Four mechanisms stack on top of that:
 //   (a) three-valued (constant/literal) propagation — constant inputs fold
-//       through plain gates at encode time, so a gate whose value is forced
-//       contributes no variable and no clause;
-//   (b) structural hashing on (normalized truth table, input literals) —
-//       the two miter copies and repeated agreement cones share subformulas
-//       instead of duplicating them (input-polarity/commutative/output-
-//       polarity normalization, AIG-style);
-//   (c) key-cone reduction in add_agreement — the DIP input is fixed, so
+//       through plain gates and cell lookups at encode time, so a gate whose
+//       value is forced contributes no variable and no clause;
+//   (b) root-fixed folding — a literal the solver has fixed at the root
+//       (SolverBackend::fixed_value: a key bit an earlier agreement
+//       decided, a gate the DIP constraints pinned) is read as a constant at
+//       every gate input, every t[r] and every agreement output. The
+//       "dimacs" backend reports no fixed literals, so it does not fold;
+//       its CNF is larger but admits the same keys;
+//   (c) structural hashing on (normalized truth table, input literals) and
+//       on cell lookups (input and t literals) — the two miter copies and
+//       repeated agreement cones share subformulas instead of duplicating
+//       them (input-polarity/commutative/output-polarity normalization,
+//       AIG-style);
+//   (d) key-cone reduction in add_agreement — the DIP input is fixed, so
 //       the 64-way Simulator evaluates every gate outside
 //       Netlist::key_cone() and only the key-dependent remainder is
 //       encoded, with the simulated values injected as constants at the
@@ -28,16 +47,16 @@
 // One shared constant variable serves every encode-time constant that still
 // needs a literal (e.g. a primary output that folds).
 //
-// The clause stream is a pure function of the call sequence, which is what
-// keeps campaign CSVs byte-identical across threads, shards and resume.
+// The clause stream is a pure function of the call sequence and of the
+// backend's deterministic root state, which is what keeps campaign CSVs
+// byte-identical across threads, shards and resume.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
-#include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -192,10 +211,52 @@ private:
         }
     };
 
+    /// Hash key of a cell lookup out = t[2a + b], {a, b, t[0..3]}, or of a
+    /// multiplexer out = s ? hi : lo, {s, hi, lo} padded with a code no
+    /// XLit takes — XLit codes, so constant entries are part of the key.
+    struct LutKey {
+        std::array<std::int32_t, 6> codes{};
+        bool operator==(const LutKey&) const = default;
+    };
+    struct LutKeyHash {
+        std::size_t operator()(const LutKey& k) const {
+            std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+            for (const std::int32_t c : k.codes)
+                h = (h ^ static_cast<std::uint32_t>(c)) * 0x100000001b3ULL;
+            return static_cast<std::size_t>(h);
+        }
+    };
+
+    /// One camo cell's key variables in one key copy, with its truth-table
+    /// literals. Built on first use; block_of_var_ finds it by its first
+    /// key variable.
+    struct KeyBlock {
+        std::vector<Var> vars;
+        std::array<XLit, 4> t;
+    };
+
+    /// Per-netlist state of the agreement hot path.
+    struct NetlistCache {
+        const netlist::Netlist* nl = nullptr;
+        std::unique_ptr<netlist::Simulator> sim;
+        std::vector<int> key_offset;  ///< see Encoding::key_offset
+        int key_bits = 0;             ///< Netlist::key_bit_count()
+        std::vector<netlist::GateId> cone_order;  ///< key cone, topological
+        std::size_t sim_gates = 0;    ///< logic gates outside the key cone
+    };
+
     XLit encode_fn(core::Bool2 fn, XLit a, XLit b);
-    XLit encode_camo(const netlist::CamoCell& cell, XLit a, XLit b,
-                     bool has_b, const std::vector<Var>& key_bits);
+    /// One copy of a camo cell: `key_bits` points at its key block.
+    XLit encode_camo(const netlist::CamoCell& cell, const Var* key_bits,
+                     XLit a, XLit b);
+    /// The truth-table literals of the key block starting at `key_bits`.
+    const std::array<XLit, 4>& truth_table_of(const netlist::CamoCell& cell,
+                                              const Var* key_bits);
+    XLit encode_lut(std::array<XLit, 4> t, XLit a, XLit b);
+    XLit encode_mux(XLit s, XLit hi, XLit lo);
     XLit unary_of(XLit x, bool f0, bool f1);
+    /// Root-fixed literals become constants; everything else is unchanged.
+    XLit fold(XLit x) const;
     XLit xlit_of(Lit l) const;
     Lit realize(XLit x);
     /// Falsifies the formula at the root (empty clause).
@@ -212,10 +273,10 @@ private:
     /// agreement counters too when `agreements` is non-zero.
     void count_since(std::uint64_t v0, std::uint64_t c0,
                      std::uint64_t agreements = 0);
-    /// Cached Simulator for the agreement sweeps: one instance per netlist
-    /// identity, so scratch buffers persist across DIPs instead of being
-    /// reallocated per call.
-    const netlist::Simulator& sim_for(const netlist::Netlist& nl) const;
+    /// Cached per-netlist state: one Simulator per netlist identity, so
+    /// scratch buffers persist across DIPs instead of being reallocated per
+    /// call, and the key-block offsets computed once.
+    const NetlistCache& cache_for(const netlist::Netlist& nl);
     void add_difference_impl(const std::vector<Lit>& a,
                              const std::vector<Lit>& b,
                              std::optional<Lit> guard);
@@ -224,12 +285,13 @@ private:
     EncoderStats stats_;
 
     std::unordered_map<PlainKey, Var, PlainKeyHash> plain_hash_;
-    std::unordered_map<std::string, std::int32_t> camo_hash_;
-    std::unordered_set<std::string> forbidden_done_;
+    std::unordered_map<LutKey, Var, LutKeyHash> lut_hash_;
+    std::vector<KeyBlock> blocks_;
+    std::vector<std::int32_t> block_of_var_;  ///< index into blocks_, or -1
     Var const_var_ = kNoVar;
 
-    mutable const netlist::Netlist* sim_nl_ = nullptr;
-    mutable std::unique_ptr<netlist::Simulator> sim_;
+    NetlistCache cache_;
+    std::vector<XLit> cone_val_;  ///< encode_agreement scratch
 };
 
 }  // namespace gshe::sat

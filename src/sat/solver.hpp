@@ -81,6 +81,14 @@ public:
         return model_.at(static_cast<std::size_t>(v));
     }
 
+    /// Root-level (decision level 0) value of `l`, else Undef. Between
+    /// solve calls the solver always sits at the root, fully propagated.
+    LBool fixed_value(Lit l) const override {
+        const auto v = static_cast<std::size_t>(l.var());
+        if (v >= level_.size() || level_[v] != 0) return LBool::Undef;
+        return value(l);
+    }
+
     void set_budget(const Budget& b) override { budget_ = b; }
     using SolverBackend::set_budget;
     const Stats& stats() const override { return stats_; }

@@ -491,10 +491,12 @@ TEST(CheckpointResume, StaleRecordsAreIgnoredAndDropped) {
 
 TEST(CheckpointResume, PreviousVersionRecordOfTheSameSpecIsDroppedAndReruns) {
     // Fields leave the spec between journal versions (the attack-mode axes,
-    // then the solver's search-heuristic knobs), so an older record can
-    // carry the current job key while describing a configuration the
-    // current decoder drops. A record of the previous version must
-    // therefore be refused, never replayed as a current result.
+    // then the solver's search-heuristic knobs), and the CNF front end
+    // changes the result of an unchanged spec, so an older record can carry
+    // the current job key while describing a configuration the current
+    // decoder drops or a result the current pipeline does not produce. A
+    // record of the previous version must therefore be refused, never
+    // replayed as a current result.
     static_assert(checkpoint::kJournalVersion >= 2);
     const auto jobs = matrix12();
     const std::string spec = checkpoint::spec_json(jobs[0]);

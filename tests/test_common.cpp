@@ -308,6 +308,20 @@ TEST(Parse, U64AcceptsOnlyCompleteDecimalNumbers) {
         EXPECT_FALSE(parse_u64(bad).has_value()) << bad;
 }
 
+TEST(Parse, SeedAcceptsDecimalAndPrefixedHex) {
+    EXPECT_EQ(parse_seed("1779130093"), 0x6a0b5eedu);
+    EXPECT_EQ(parse_seed("0x6a0b5eed"), 0x6a0b5eedu);
+    EXPECT_EQ(parse_seed("0X6A0B5EED"), 0x6a0b5eedu);
+    EXPECT_EQ(parse_seed("0"), 0u);
+    EXPECT_EQ(parse_seed("0x0"), 0u);
+    EXPECT_EQ(parse_seed("0xffffffffffffffff"), UINT64_MAX);
+    EXPECT_EQ(parse_seed("0x00000000000000001"), 1u);  // leading zeros fit
+    for (const char* bad : {"", "0x", "0X", "0xg", "0x12g", "x10", "0x-1",
+                            " 0x1", "0x1 ", "-1", "0x10000000000000000",
+                            "18446744073709551616", "1.5"})
+        EXPECT_FALSE(parse_seed(bad).has_value()) << bad;
+}
+
 TEST(Parse, I64HandlesTheFullRangeIncludingMin) {
     EXPECT_EQ(parse_i64("0"), 0);
     EXPECT_EQ(parse_i64("-1"), -1);

@@ -3,7 +3,13 @@
 //
 //  * constant folding, structural hashing and the shared constant variable;
 //  * every encoded circuit and camouflaged cell evaluates like the
-//    simulator / the keyed candidate function;
+//    simulator / the keyed candidate function — all 16 plain gates under
+//    every input polarity (and arc-consistently: unit propagation alone
+//    derives every forced value), every cell library under every key code
+//    with free and constant inputs — and a GSHE-16 cell costs one lookup;
+//  * root-fixed folding shrinks later agreements without changing the
+//    admitted key set, which a backend that reports no fixed literals
+//    reproduces;
 //  * key-cone agreements admit exactly the keys a brute-force enumeration
 //    through the simulator finds consistent with the observations;
 //  * every key the attacks recover — 200 randomized camouflaged netlists
@@ -14,7 +20,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -90,6 +98,42 @@ bool simulates_consistently(const Netlist& nl, const camo::Key& key,
             if ((((out[o] >> j) & 1) != 0) != ys[j][o]) return false;
     return true;
 }
+
+/// A backend that forwards to the internal solver and records every clause
+/// it is given. With `reports_fixed` false it hides the root assignment
+/// (fixed_value stays Undef), like a subprocess backend.
+class RecordingBackend final : public sat::SolverBackend {
+public:
+    explicit RecordingBackend(bool reports_fixed) : reports_fixed_(reports_fixed) {}
+
+    Var new_var() override { return inner_.new_var(); }
+    int num_vars() const override { return inner_.num_vars(); }
+    bool add_clause(sat::Clause c) override {
+        clauses.push_back(c);
+        return inner_.add_clause(std::move(c));
+    }
+    using SolverBackend::add_clause;
+    std::size_t num_clauses() const override { return clauses.size(); }
+    SolveResult solve(const std::vector<Lit>& assumptions) override {
+        return inner_.solve(assumptions);
+    }
+    using SolverBackend::solve;
+    sat::LBool model_value(Var v) const override { return inner_.model_value(v); }
+    sat::LBool fixed_value(Lit l) const override {
+        return reports_fixed_ ? inner_.fixed_value(l) : sat::LBool::Undef;
+    }
+    void set_budget(const sat::SolverBudget& b) override { inner_.set_budget(b); }
+    using SolverBackend::set_budget;
+    const sat::SolverStats& stats() const override { return inner_.stats(); }
+    const sat::SolverOptions& options() const override { return inner_.options(); }
+    const std::string& backend_name() const override { return inner_.backend_name(); }
+
+    std::vector<sat::Clause> clauses;
+
+private:
+    bool reports_fixed_;
+    sat::Solver inner_;
+};
 
 // ---- constant folding -------------------------------------------------------
 
@@ -273,6 +317,236 @@ TEST(Encoder, CamoCellComputesTheKeyedCandidateForEveryKeyAndInput) {
         }
 }
 
+// ---- propagation completeness: all 16 functions ----------------------------
+
+/// Applies a partial assignment (entries: -1 free, 0, 1) to `lits` as unit
+/// clauses. Returns false when unit propagation refutes it.
+bool assign_units(sat::SolverBackend& s, const std::vector<Lit>& lits,
+                  const std::vector<int>& values) {
+    bool ok = true;
+    for (std::size_t i = 0; i < lits.size(); ++i)
+        if (values[i] >= 0) ok = s.add_clause(values[i] != 0 ? lits[i] : ~lits[i]) && ok;
+    return ok;
+}
+
+TEST(Encoder, EveryPlainGateIsCorrectAndArcConsistent) {
+    for (const Bool2 fn : Bool2::all())
+        for (int polarity = 0; polarity < 4; ++polarity) {
+            const bool neg_a = (polarity & 1) != 0;
+            const bool neg_b = (polarity & 2) != 0;
+            Netlist nl("gate");
+            const auto a = nl.add_input("a");
+            const auto b = nl.add_input("b");
+            const auto ga = neg_a ? nl.add_unary(Bool2::NOT_A(), a, "na") : a;
+            const auto gb = neg_b ? nl.add_unary(Bool2::NOT_A(), b, "nb") : b;
+            nl.add_output(nl.add_gate(fn, ga, gb, "g"), "o");
+            // The function of the primary inputs the circuit computes.
+            const auto f = [&](int va, int vb) {
+                return fn.eval((va != 0) != neg_a, (vb != 0) != neg_b);
+            };
+            const std::string label = std::string(fn.name()) + " polarity " +
+                                      std::to_string(polarity);
+
+            // Generalized arc consistency over (a, b, out): for every partial
+            // assignment, root-level unit propagation alone either refutes it
+            // (no completion exists) or fixes every value all completions
+            // share. No solve call: no decision, no conflict.
+            for (int code = 0; code < 27; ++code) {
+                const std::vector<int> part = {code % 3 - 1, code / 3 % 3 - 1,
+                                               code / 9 - 1};
+                sat::Solver s;
+                CircuitEncoder enc(s);
+                const sat::Encoding e = enc.encode(nl);
+                const std::vector<Lit> lits = {Lit(e.pis[0], false),
+                                               Lit(e.pis[1], false), e.outs[0]};
+                // Completions of the partial assignment.
+                std::vector<std::array<int, 3>> models;
+                for (int va = 0; va < 2; ++va)
+                    for (int vb = 0; vb < 2; ++vb) {
+                        const std::array<int, 3> m = {va, vb, f(va, vb) ? 1 : 0};
+                        bool fits = true;
+                        for (std::size_t i = 0; i < 3; ++i)
+                            fits = fits && (part[i] < 0 || part[i] == m[i]);
+                        if (fits) models.push_back(m);
+                    }
+                const bool ok = assign_units(s, lits, part);
+                EXPECT_EQ(s.stats().decisions, 0u);
+                EXPECT_EQ(s.stats().conflicts, 0u);
+                if (models.empty()) {
+                    EXPECT_FALSE(ok) << label << " partial " << code;
+                    continue;
+                }
+                ASSERT_TRUE(ok) << label << " partial " << code;
+                for (std::size_t i = 0; i < 3; ++i) {
+                    const bool forced = std::all_of(
+                        models.begin(), models.end(),
+                        [&](const auto& m) { return m[i] == models[0][i]; });
+                    const sat::LBool want =
+                        forced ? sat::lbool_of(models[0][i] != 0) : sat::LBool::Undef;
+                    EXPECT_EQ(s.fixed_value(lits[i]), want)
+                        << label << " partial " << code << " literal " << i;
+                }
+            }
+        }
+}
+
+// ---- camouflaged cells: every library, every key code ----------------------
+
+/// Source of one cell input in check_cell: a primary input or a constant.
+enum class Source { Free, Zero, One };
+
+/// Checks one cell of `candidates` (unary when `unary`) with its inputs
+/// driven from `sa`/`sb`: every key code on every input pattern, the
+/// unused codes Unsat.
+void check_cell(const std::string& label, const std::vector<Bool2>& candidates,
+                bool unary, Source sa, Source sb) {
+    Netlist nl("cell");
+    const auto source = [&](Source src, const std::string& name) {
+        if (src == Source::Free) return nl.add_input(name);
+        return nl.add_const(src == Source::One);
+    };
+    const auto a = source(sa, "a");
+    const auto b = unary ? a : source(sb, "b");
+    const auto g = unary ? nl.add_unary(candidates[0], a, "g")
+                         : nl.add_gate(candidates[0], a, b, "g");
+    nl.camouflage(g, candidates, "test");
+    nl.add_output(g, "o");
+
+    sat::Solver s;
+    CircuitEncoder enc(s);
+    const sat::Encoding e = enc.encode(nl);
+    const std::size_t bits = e.keys.size();
+    ASSERT_EQ(bits, static_cast<std::size_t>(nl.camo_cells()[0].key_bits()));
+    for (std::size_t code = 0; code < (std::size_t{1} << bits); ++code)
+        for (int pat = 0; pat < 4; ++pat) {
+            const int va = sa == Source::Free ? pat & 1 : sa == Source::One;
+            const int vb = unary ? 0
+                         : sb == Source::Free ? (pat >> 1) & 1
+                                              : sb == Source::One;
+            std::vector<Lit> assume;
+            for (std::size_t bit = 0; bit < bits; ++bit)
+                assume.push_back(pin(e.keys[bit], (code >> bit) & 1));
+            if (sa == Source::Free) assume.push_back(pin(e.pis[0], va != 0));
+            if (!unary && sb == Source::Free)
+                assume.push_back(pin(e.pis[sa == Source::Free ? 1 : 0], vb != 0));
+            const SolveResult r = s.solve(assume);
+            if (code >= candidates.size()) {
+                EXPECT_EQ(r, SolveResult::Unsat) << label << " unused code " << code;
+                continue;
+            }
+            ASSERT_EQ(r, SolveResult::Sat) << label << " code " << code;
+            EXPECT_EQ(lit_value(s, e.outs[0]),
+                      candidates[code].eval(va != 0, vb != 0))
+                << label << " code " << code << " a=" << va << " b=" << vb;
+        }
+}
+
+TEST(Encoder, EveryLibraryCellComputesItsKeyedCandidate) {
+    std::vector<camo::CellLibrary> libraries = camo::table4_libraries();
+    libraries.push_back(camo::stt_lut16());
+    for (const int k : {2, 3, 4, 6, 8, 16})
+        libraries.push_back(camo::ablation_library(k));
+    // SARLock's key cells: a cloaked constant on one input.
+    camo::CellLibrary sarlock;
+    sarlock.name = "sarlock";
+    sarlock.functions = {Bool2::FALSE_(), Bool2::TRUE_()};
+    libraries.push_back(sarlock);
+    // A one-candidate cell: no key bits, the plain gate.
+    camo::CellLibrary single;
+    single.name = "single";
+    single.functions = {Bool2::NAND()};
+    libraries.push_back(single);
+
+    const Source sources[] = {Source::Free, Source::Zero, Source::One};
+    for (const camo::CellLibrary& lib : libraries) {
+        const bool unary =
+            std::all_of(lib.functions.begin(), lib.functions.end(),
+                        [](Bool2 f) { return f.independent_of_b(); });
+        for (const Source sa : sources)
+            for (const Source sb : sources) {
+                if (unary && sb != Source::Free) continue;
+                check_cell(lib.name + " inputs " +
+                               std::to_string(static_cast<int>(sa)) +
+                               std::to_string(static_cast<int>(sb)),
+                           lib.functions, unary, sa, sb);
+            }
+    }
+}
+
+TEST(Encoder, GsheCellCostsOneLookupPerCopy) {
+    const std::array<Bool2, 16> table = Bool2::all();
+    const std::vector<Bool2> all16(table.begin(), table.end());
+    // Copy with two free inputs: at most 8 clauses of at most 4 literals,
+    // one new variable (the output); the key bits ARE the truth table.
+    {
+        Netlist nl("free2");
+        const auto a = nl.add_input("a");
+        const auto b = nl.add_input("b");
+        const auto g = nl.add_gate(Bool2::NAND(), a, b, "g");
+        nl.camouflage(g, all16, "gshe16");
+        nl.add_output(g, "o");
+        RecordingBackend s(true);
+        CircuitEncoder enc(s);
+        const sat::Encoding e1 = enc.encode(nl);
+        const std::size_t c0 = s.clauses.size();
+        const int v0 = s.num_vars();
+        enc.encode(nl, e1.pis);  // a fresh key copy
+        EXPECT_EQ(s.num_vars() - v0, 4 + 1);
+        EXPECT_LE(s.clauses.size() - c0, 8u);
+        for (std::size_t i = c0; i < s.clauses.size(); ++i)
+            EXPECT_LE(s.clauses[i].size(), 4u);
+        EXPECT_EQ(c0, s.clauses.size() - c0);  // the first copy costs the same
+    }
+    // One free input: a multiplexer of 4 clauses of 3 literals.
+    {
+        Netlist nl("free1");
+        const auto a = nl.add_input("a");
+        const auto g = nl.add_gate(Bool2::NAND(), a, nl.add_const(true), "g");
+        nl.camouflage(g, all16, "gshe16");
+        nl.add_output(g, "o");
+        RecordingBackend s(true);
+        CircuitEncoder enc(s);
+        enc.encode(nl);
+        EXPECT_EQ(s.num_vars(), 1 + 4 + 1);
+        ASSERT_EQ(s.clauses.size(), 4u);
+        for (const sat::Clause& c : s.clauses) EXPECT_EQ(c.size(), 3u);
+    }
+    // Both inputs constant: the output is a key bit — no variable beyond
+    // the key, no clause.
+    {
+        Netlist nl("const2");
+        const auto g = nl.add_gate(Bool2::NAND(), nl.add_const(true),
+                                   nl.add_const(false), "g");
+        nl.camouflage(g, all16, "gshe16");
+        nl.add_output(g, "o");
+        RecordingBackend s(true);
+        CircuitEncoder enc(s);
+        const sat::Encoding e = enc.encode(nl);
+        EXPECT_EQ(s.num_vars(), 4);
+        EXPECT_TRUE(s.clauses.empty());
+        // Row 2a + b = 2 reads key bit 2 directly.
+        EXPECT_EQ(e.outs[0], Lit(e.keys[2], false));
+    }
+}
+
+TEST(Encoder, KeyVariableReusedByADifferentKeyBlockIsRefused) {
+    const std::array<Bool2, 16> table = Bool2::all();
+    Netlist nl("reuse");
+    const auto a = nl.add_input("a");
+    const auto b = nl.add_input("b");
+    const auto g = nl.add_gate(Bool2::NAND(), a, b, "g");
+    nl.camouflage(g, {table.begin(), table.end()}, "gshe16");
+    nl.add_output(g, "o");
+    sat::Solver s;
+    CircuitEncoder enc(s);
+    const sat::Encoding e = enc.encode(nl);
+    // The same block again is a hash hit; the same first variable with
+    // different remaining bits would alias the wrong truth table.
+    EXPECT_NO_THROW(enc.encode(nl, e.pis, e.keys));
+    const std::vector<Var> mixed = {e.keys[0], e.keys[2], e.keys[1], e.keys[3]};
+    EXPECT_THROW(enc.encode(nl, e.pis, mixed), std::invalid_argument);
+}
+
 // ---- key-cone agreement -----------------------------------------------------
 
 /// Keys admitted by the solver after some agreements, as a bitmask over all
@@ -339,6 +613,81 @@ TEST(Agreement, AdmitsExactlyTheKeysBruteForceFindsConsistent) {
         EXPECT_GT(enc.stats().sim_gates, 0u);
     }
     EXPECT_GE(instances, 6u);
+}
+
+// ---- root-fixed folding -----------------------------------------------------
+
+TEST(Agreement, RootFixedKeyBitsFoldWithoutChangingTheAdmittedKeys) {
+    std::size_t instances = 0;
+    std::uint64_t folded_clauses = 0;
+    std::uint64_t plain_clauses = 0;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        netlist::RandomSpec spec;
+        spec.n_inputs = 8;
+        spec.n_outputs = 5;
+        spec.n_gates = 30;
+        spec.seed = 400 + seed;
+        const Netlist plain = netlist::random_circuit(spec);
+        const camo::Protection prot = camo::apply_camouflage(
+            plain, camo::select_gates(plain, 0.10, seed), camo::gshe16(),
+            seed);
+        const Netlist& nl = prot.netlist;
+        const std::size_t key_bits =
+            static_cast<std::size_t>(nl.key_bit_count());
+        if (key_bits < 8 || key_bits > 12) continue;  // two cells, enumerable
+        ++instances;
+        attack::ExactOracle oracle(nl);
+        const camo::Key truth = camo::true_key(nl);
+
+        // The same call sequence on a folding and a non-folding backend.
+        RecordingBackend folding(true);
+        RecordingBackend plain_backend(false);
+        CircuitEncoder enc_f(folding);
+        CircuitEncoder enc_p(plain_backend);
+        const sat::Encoding ef = enc_f.encode(nl);
+        const sat::Encoding ep = enc_p.encode(nl);
+        std::vector<std::vector<bool>> xs, ys;
+        Rng rng(77 + seed);
+        const auto observe = [&] {
+            std::vector<bool> x(nl.inputs().size());
+            for (std::size_t i = 0; i < x.size(); ++i) x[i] = (rng() & 1) != 0;
+            const std::vector<bool> y = oracle.query_single(x);
+            xs.push_back(x);
+            ys.push_back(y);
+        };
+        observe();
+        enc_f.add_agreement(nl, ef.keys, xs.back(), ys.back());
+        enc_p.add_agreement(nl, ep.keys, xs.back(), ys.back());
+        // A unit fixes the first cell's key block to the true function.
+        for (std::size_t bit = 0; bit < 4; ++bit) {
+            enc_f.fix_var(ef.keys[bit], truth.bits[bit]);
+            enc_p.fix_var(ep.keys[bit], truth.bits[bit]);
+        }
+        const std::uint64_t cf = enc_f.stats().agreement_clauses;
+        const std::uint64_t cp = enc_p.stats().agreement_clauses;
+        observe();
+        enc_f.add_agreement(nl, ef.keys, xs.back(), ys.back());
+        enc_p.add_agreement(nl, ep.keys, xs.back(), ys.back());
+        // Folding never costs clauses; where the fixed cell reaches the
+        // observed outputs it saves some (summed below).
+        const std::uint64_t after_f = enc_f.stats().agreement_clauses - cf;
+        const std::uint64_t after_p = enc_p.stats().agreement_clauses - cp;
+        EXPECT_LE(after_f, after_p) << "seed " << seed;
+        folded_clauses += after_f;
+        plain_clauses += after_p;
+
+        std::vector<bool> want(std::size_t{1} << key_bits);
+        for (std::size_t k = 0; k < want.size(); ++k) {
+            const camo::Key key = key_of_index(k, key_bits);
+            const bool pinned = std::equal(key.bits.begin(), key.bits.begin() + 4,
+                                           truth.bits.begin());
+            want[k] = pinned && simulates_consistently(nl, key, xs, ys);
+        }
+        EXPECT_EQ(admitted_keys(folding, ef), want) << "seed " << seed;
+        EXPECT_EQ(admitted_keys(plain_backend, ep), want) << "seed " << seed;
+    }
+    EXPECT_GE(instances, 3u);
+    EXPECT_LT(folded_clauses, plain_clauses);
 }
 
 // ---- attack outcomes: formally equivalent keys ------------------------------

@@ -544,10 +544,10 @@ TEST(ArenaGc, VivifiedClauseSurvivesCompactionIntact) {
 //
 // Every SolverStats counter of two fixed instances. The random 3-SAT pins
 // were recorded on the solver before its clause storage became a flat
-// arena; the camo-miter pins on the CircuitEncoder encoding of the same
-// miter, with the library as it was before the encoder lost its legacy
-// per-gate mode (so they pin the solver, not a new encoding). Any change
-// to watcher order, literal swaps, VSIDS heap ties, learnt-DB reduction or
+// arena; the camo-miter pins on the propagation-complete CircuitEncoder
+// encoding of the same miter (truth-table cells, prime-implicant gates),
+// re-pinned when that encoding replaced the row clauses. Any change to
+// watcher order, literal swaps, VSIDS heap ties, learnt-DB reduction or
 // GC order moves at least one of them. The golden CSVs only pin small runs
 // that never reduce or compact, so these are the tests that see such drift.
 
@@ -569,8 +569,8 @@ Solver::Options inprocess_every_1024() {
 }
 
 Result solve_camo_miter(Solver& s) {
-    // The first-DIP miter of BM_SatSolveMiter: c7552 with 10% of its gates
-    // camouflaged as GSHE-16 cells (7-literal clauses), two copies sharing
+    // The first-DIP miter of a c7552 attack: 10% of its gates camouflaged
+    // as GSHE-16 cells (key bits = truth table), two copies sharing
     // the primary inputs (and, through structural hashing, every gate
     // outside the key cone), outputs forced to differ.
     const auto nl = netlist::build_benchmark("c7552");
@@ -605,14 +605,14 @@ TEST(PinnedTrajectory, CamoMiterDefaultOptions) {
     Solver s;
     ASSERT_EQ(solve_camo_miter(s), Result::Sat);
     EXPECT_EQ(counters(s.stats()),
-              (Counters{23818, 79852, 424, 2, 423, 0, 0, 0, 0, 0, 0}));
+              (Counters{793, 2006, 3, 0, 3, 0, 0, 0, 0, 0, 0}));
 }
 
 TEST(PinnedTrajectory, CamoMiterInprocessing) {
     Solver s(inprocess_every_1024());
     ASSERT_EQ(solve_camo_miter(s), Result::Sat);
     EXPECT_EQ(counters(s.stats()),
-              (Counters{7979, 142617, 146, 1, 146, 1850, 1, 0, 4801, 260, 224}));
+              (Counters{180, 98719, 1, 0, 1, 5093, 1, 1, 141, 270, 1275}));
 }
 
 TEST(PinnedTrajectory, RandomThreeSatReducesAndCompacts) {

@@ -123,8 +123,9 @@ void usage() {
         "  --accuracy=A       stochastic device accuracy (default 0.95)\n"
         "  --max-conflicts=N  deterministic solver budget (default 50000)\n"
         "  --timeout=S        wall-clock safety timeout per attack (default 3600)\n"
-        "  --campaign-seed=N  campaign-level seed\n"
-        "  --protect-seed=N   pin gate selection/camouflage application to one\n"
+        "  --campaign-seed=N  campaign-level seed (decimal or 0x hex; default\n"
+        "                     0x6a0b5eed)\n"
+        "  --protect-seed=N   (decimal or 0x hex) pin gate selection/camouflage application to one\n"
         "                     seed across all jobs (the Table IV methodology:\n"
         "                     'gates are randomly selected once ... and then\n"
         "                     reapplied across all techniques'). Jobs that then\n"
@@ -177,7 +178,8 @@ void list_choices() {
 }
 
 // ---- strict flag parsing ----------------------------------------------------
-// Every numeric flag goes through parse_u64/parse_i64/parse_double: a value
+// Every numeric flag goes through parse_u64/parse_i64/parse_double (the two
+// seed flags through parse_seed, which also takes 0x hex): a value
 // the helpers reject (or one outside the flag's documented range) is a
 // usage error naming the flag and the offending text — never a silent 0
 // the way atoi("abc") was.
@@ -203,6 +205,13 @@ int int_flag(const char* flag, const std::string& value, int min_value,
 std::uint64_t u64_flag(const char* flag, const std::string& value) {
     const auto parsed = parse_u64(value);
     if (!parsed) flag_error(flag, value, "expected an unsigned integer");
+    return *parsed;
+}
+
+std::uint64_t seed_flag(const char* flag, const std::string& value) {
+    const auto parsed = parse_seed(value);
+    if (!parsed)
+        flag_error(flag, value, "expected an unsigned integer, decimal or 0x hex");
     return *parsed;
 }
 
@@ -276,8 +285,8 @@ bool parse(Cli& cli, int argc, char** argv, bool& exit_ok) {
         else if (starts("--accuracy=")) cli.accuracy = double_flag("--accuracy", val(), 0.0, 1.0);
         else if (starts("--max-conflicts=")) cli.max_conflicts = u64_flag("--max-conflicts", val());
         else if (starts("--timeout=")) cli.timeout_seconds = double_flag("--timeout", val(), 0.0, 1e9);
-        else if (starts("--campaign-seed=")) cli.campaign_seed = u64_flag("--campaign-seed", val());
-        else if (starts("--protect-seed=")) cli.protect_seed = u64_flag("--protect-seed", val());
+        else if (starts("--campaign-seed=")) cli.campaign_seed = seed_flag("--campaign-seed", val());
+        else if (starts("--protect-seed=")) cli.protect_seed = seed_flag("--protect-seed", val());
         else if (starts("--oracle-cache=")) cli.oracle_cache = cache_flag(val());
         else if (starts("--shard=")) cli.shard = shard_flag(val());
         else if (starts("--csv=")) cli.csv_path = val();
