@@ -16,8 +16,12 @@ using RunFn = AttackResult (*)(const netlist::Netlist&, Oracle&,
 
 class RegisteredAttack final : public Attack {
 public:
-    RegisteredAttack(std::string name, std::string label, RunFn fn)
-        : name_(std::move(name)), label_(std::move(label)), fn_(fn) {}
+    RegisteredAttack(std::string name, std::string label, RunFn fn,
+                     bool reads_seed)
+        : name_(std::move(name)),
+          label_(std::move(label)),
+          fn_(fn),
+          reads_seed_(reads_seed) {}
 
     const std::string& name() const override { return name_; }
     const std::string& label() const override { return label_; }
@@ -27,10 +31,13 @@ public:
         return fn_(camo_nl, oracle, options);
     }
 
+    bool reads_seed() const override { return reads_seed_; }
+
 private:
     std::string name_;
     std::string label_;
     RunFn fn_;
+    bool reads_seed_;
 };
 
 AttackResult run_appsat(const netlist::Netlist& camo_nl, Oracle& oracle,
@@ -46,11 +53,11 @@ const std::vector<std::unique_ptr<Attack>>& registry() {
     static const auto* attacks = [] {
         auto* v = new std::vector<std::unique_ptr<Attack>>();
         v->push_back(std::make_unique<RegisteredAttack>(
-            "sat", "SAT [8]", &sat_attack));
+            "sat", "SAT [8]", &sat_attack, false));
         v->push_back(std::make_unique<RegisteredAttack>(
-            "appsat", "AppSAT [11]", &run_appsat));
+            "appsat", "AppSAT [11]", &run_appsat, true));
         v->push_back(std::make_unique<RegisteredAttack>(
-            "double_dip", "Double DIP [12]", &double_dip_attack));
+            "double_dip", "Double DIP [12]", &double_dip_attack, false));
         return v;
     }();
     return *attacks;

@@ -33,6 +33,12 @@ public:
 
     virtual AttackResult run(const netlist::Netlist& camo_nl, Oracle& oracle,
                              const AttackOptions& options) const = 0;
+
+    /// Whether run() reads AttackOptions::seed. An attack that does not
+    /// returns the same result under every seed on one instance with a
+    /// deterministic oracle, so the campaign engine runs it once per shared
+    /// defense instance and lets sibling seeds reuse that result.
+    virtual bool reads_seed() const = 0;
 };
 
 /// Registry lookup; nullptr for unknown names.

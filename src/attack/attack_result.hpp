@@ -67,6 +67,7 @@ struct AttackResult {
     /// true functionality (0.0 = exact on the sample).
     double key_error_rate = 1.0;
     bool key_exact = false;  ///< error rate was 0 on the sample
+    /// Search counters, summed over every solver the attack used.
     sat::Solver::Stats solver_stats;
     /// CNF-emission telemetry, summed over every encoder the attack used.
     /// Telemetry only: rides the JSON report and journal, never the

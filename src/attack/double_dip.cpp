@@ -82,6 +82,7 @@ AttackResult double_dip_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
     // observations.
     AttackResult final_res = detail::run_single_dip_loop(
         camo_nl, oracle, options, timer, history, res.iterations);
+    sat::accumulate(final_res.solver_stats, solver.stats());
     sat::accumulate(final_res.encoder_stats, encoder.stats());
     detail::finalize_result(final_res, camo_nl, oracle, options, timer);
     return final_res;

@@ -172,7 +172,22 @@ std::size_t CampaignRunner::resolve_threads(std::size_t jobs) const {
 /// first, shared by every member job this call runs, and released when the
 /// last of them finishes (so a long campaign holds only the netlists its
 /// in-flight jobs need).
+///
+/// It also holds one once-cell per reuse key (the spec with its replicate
+/// seed cleared): the first member to arrive runs the attack, later members
+/// copy its result, and a member arriving mid-run waits for it. A throw
+/// leaves the cell incomplete, so the next member runs the attack itself and
+/// an error is never reused.
 struct CampaignRunner::GroupRuntime {
+    struct Reuse {
+        std::once_flag once;
+        std::size_t donor = 0;  ///< plan index of the job that ran the attack
+        attack::AttackResult result;
+        attack::OracleStats oracle_stats;
+        std::uint64_t oracle_epochs = 0;
+        std::uint64_t oracle_unique = 0;
+    };
+
     const PlannedJob* canonical = nullptr;  ///< the group's first plan member
     std::size_t plan_members = 1;           ///< group size across the whole plan
     bool cache_enabled = false;
@@ -181,6 +196,18 @@ struct CampaignRunner::GroupRuntime {
     std::unique_ptr<attack::OracleService> service;
     std::string build_error;                ///< non-empty: the build threw
     std::atomic<std::size_t> remaining{0};  ///< member jobs left in this call
+    std::mutex reuse_mutex;
+    std::unordered_map<std::string, std::unique_ptr<Reuse>> reuse;
+
+    Reuse& reuse_cell(const JobSpec& spec) {
+        JobSpec sibling = spec;
+        sibling.seed = 0;
+        std::string key = checkpoint::spec_json(sibling);
+        const std::lock_guard<std::mutex> lock(reuse_mutex);
+        auto& cell = reuse[std::move(key)];
+        if (!cell) cell = std::make_unique<Reuse>();
+        return *cell;
+    }
 };
 
 JobResult CampaignRunner::run_job(const PlannedJob& job,
@@ -247,11 +274,41 @@ JobResult CampaignRunner::run_job(const PlannedJob& job,
             group.service->make_client();
         r.oracle_contract = attack::oracle_contract_name(oracle->contract());
         r.oracle_cache_enabled = group.service->cache_active();
-        r.result = attack.run(*group.instance->netlist, *oracle, options);
-        r.oracle_stats = oracle->stats();
-        r.oracle_epochs = oracle->epochs_elapsed();
-        r.oracle_cache = oracle->cache_stats();
-        r.oracle_unique = r.oracle_cache.unique_patterns;
+        const auto run_attack = [&] {
+            r.result = attack.run(*group.instance->netlist, *oracle, options);
+            r.oracle_stats = oracle->stats();
+            r.oracle_epochs = oracle->epochs_elapsed();
+            r.oracle_cache = oracle->cache_stats();
+            r.oracle_unique = r.oracle_cache.unique_patterns;
+        };
+        // Only the internal backend is deterministic under max_conflicts,
+        // and only a deterministic oracle answers every sibling alike.
+        const bool reusable =
+            group.plan_members > 1 && !attack.reads_seed() &&
+            oracle->contract() == attack::OracleContract::Deterministic &&
+            options.solver_backend == "internal";
+        if (!reusable) {
+            run_attack();
+        } else {
+            GroupRuntime::Reuse& cell = group.reuse_cell(spec);
+            bool donor = false;
+            std::call_once(cell.once, [&] {
+                run_attack();
+                cell.donor = job.index;
+                cell.result = r.result;
+                cell.oracle_stats = r.oracle_stats;
+                cell.oracle_epochs = r.oracle_epochs;
+                cell.oracle_unique = r.oracle_unique;
+                donor = true;
+            });
+            if (!donor) {
+                r.result = cell.result;
+                r.oracle_stats = cell.oracle_stats;
+                r.oracle_epochs = cell.oracle_epochs;
+                r.oracle_unique = cell.oracle_unique;
+                r.reused_from = cell.donor;
+            }
+        }
     } catch (const std::exception& e) {
         r.error = e.what();
     } catch (...) {
@@ -262,6 +319,7 @@ JobResult CampaignRunner::run_job(const PlannedJob& job,
     if (group.remaining.fetch_sub(1) == 1) {
         group.service.reset();
         group.instance.reset();
+        group.reuse.clear();
     }
     r.job_seconds = timer.seconds();
     return r;

@@ -28,6 +28,10 @@
 // the checkpoint journal (engine/checkpoint.hpp), identical whether the
 // campaign ran uninterrupted, was killed and resumed any number of times,
 // or was split into any shard count and merged (tools/merge_campaign).
+// Jobs of one defense-instance group whose specs differ only in the
+// replicate seed run a seed-independent attack (Attack::reads_seed() false)
+// against a deterministic oracle on the internal backend once; the siblings
+// copy that result, which is the result they would have computed.
 // Wall-clock fields (JobResult::job_seconds, AttackResult::seconds,
 // OracleStats::seconds) are measured, not derived, and are excluded from
 // deterministic reports. For reproducible "t-o" cells, budget attacks with
@@ -35,6 +39,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -102,8 +107,16 @@ struct JobResult {
     bool oracle_cache_enabled = false;
     /// Measured memo counters for this job (scheduling-dependent).
     attack::OracleCacheStats oracle_cache;
+    /// Set when this job copied a sibling's result instead of attacking:
+    /// the plan index of the sibling (same defense instance, same spec but
+    /// the replicate seed) that ran the seed-independent attack. Which
+    /// sibling runs first depends on scheduling, so like the memo counters
+    /// it rides only the JSON report and the checkpoint journal.
+    std::optional<std::uint64_t> reused_from;
 
-    double job_seconds = 0.0;  ///< wall clock incl. netlist/defense build
+    /// Wall clock incl. netlist/defense build and any wait for a sibling's
+    /// reused attack (result.seconds is then the sibling's attack time).
+    double job_seconds = 0.0;
     std::string error;         ///< non-empty: the job threw; result is default
 };
 

@@ -238,6 +238,10 @@ void write_result(JsonWriter& w, const JobResult& r) {
     w.key("lanes_deduped");
     w.value(r.oracle_cache.lanes_deduped);
     w.end_object();
+    if (r.reused_from) {
+        w.key("reused_from");
+        w.value(*r.reused_from);
+    }
     w.end_object();
 }
 
@@ -426,6 +430,7 @@ std::optional<JobResult> result_from_value(const json::Value& v) {
         r.oracle_cache.inserted_bytes = u64_field(*c, "inserted_bytes");
         r.oracle_cache.lanes_deduped = u64_field(*c, "lanes_deduped");
     }
+    if (const json::Value* d = v.find("reused_from")) r.reused_from = d->as_u64();
     return r;
 }
 

@@ -59,7 +59,10 @@ namespace gshe::engine::checkpoint {
 /// Version 4: the propagation-complete CNF front end (truth-table camo
 /// cells, prime-implicant gates, root-fixed folding) changes every attack's
 /// trajectory under an unchanged spec, so version-3 records are refused.
-inline constexpr std::uint64_t kJournalVersion = 4;
+/// Version 5: Double DIP's solver counters sum both of its solvers (the
+/// 2-DIP miter's were dropped before), so a version-4 double_dip record
+/// carries different counters for the same spec and is refused.
+inline constexpr std::uint64_t kJournalVersion = 5;
 
 /// Shard provenance stamped on every record (additive to version 1): which
 /// plan the job belongs to and which shard's journal it was written into.

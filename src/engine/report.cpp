@@ -181,6 +181,12 @@ std::string campaign_json(const CampaignResult& result) {
             w.value(j.oracle_cache.lanes_deduped);
             w.end_object();
             w.end_object();
+            // Which sibling ran the attack this job copied: depends on
+            // scheduling, so JSON only.
+            if (j.reused_from) {
+                w.key("reused_from");
+                w.value(*j.reused_from);
+            }
         }
         w.key("job_seconds");
         w.value(j.job_seconds);

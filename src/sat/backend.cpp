@@ -70,6 +70,20 @@ const std::vector<std::unique_ptr<BackendFactory>>& registry() {
 
 }  // namespace
 
+void accumulate(SolverStats& into, const SolverStats& from) {
+    into.decisions += from.decisions;
+    into.propagations += from.propagations;
+    into.conflicts += from.conflicts;
+    into.restarts += from.restarts;
+    into.learnt_clauses += from.learnt_clauses;
+    into.removed_clauses += from.removed_clauses;
+    into.inprocessings += from.inprocessings;
+    into.gc_runs += from.gc_runs;
+    into.vivified_lits += from.vivified_lits;
+    into.xors_recovered += from.xors_recovered;
+    into.eliminated_vars += from.eliminated_vars;
+}
+
 const BackendFactory* find_backend(const std::string& name) {
     for (const auto& backend : registry())
         if (backend->name() == name) return backend.get();

@@ -50,8 +50,13 @@ struct SolverOptions {
     bool use_learning = true;     ///< false: backtrack one level, no learnt DB
     bool use_phase_saving = true; ///< false: always decide the false phase
 
-    /// Learnt clauses before the first learnt-DB reduction (the interval
-    /// then grows by half each time).
+    /// Start of the learnt-DB reduction schedule. The schedule is local to
+    /// each solve() call: it starts at this value, grows by half after each
+    /// reduction, and is compared against the solver's cumulative count of
+    /// learnt clauses (Stats::learnt_clauses, never decremented). So once
+    /// that count passes reduce_interval, every incremental solve opens
+    /// with about log1.5(learnt / reduce_interval) back-to-back reductions,
+    /// one per conflict, each halving the non-glue learnt clauses.
     std::uint64_t reduce_interval = 4096;
 
     // Inprocessing passes (internal backend; sat/solver.cpp inprocess()).
@@ -92,6 +97,10 @@ struct SolverStats {
     std::uint64_t xors_recovered = 0;    ///< XOR rows recovered from the CNF
     std::uint64_t eliminated_vars = 0;   ///< variables eliminated by BVE
 };
+
+/// Field-wise sum — Double DIP runs two solvers (2-DIP miter + single-DIP
+/// miter) and reports one combined counter set.
+void accumulate(SolverStats& into, const SolverStats& from);
 
 /// Abstract SAT solver: problem construction, solve-with-assumptions,
 /// model access, budget and stats. Implementations may be incremental

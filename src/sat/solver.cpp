@@ -987,6 +987,8 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
         opts_.use_restarts ? kRestartBase * luby(restart_count)
                            : std::numeric_limits<std::uint64_t>::max();
     std::uint64_t conflicts_this_restart = 0;
+    // Restarts at reduce_interval on every call while learnt_clauses is
+    // cumulative (see SolverOptions::reduce_interval).
     std::uint64_t next_reduce = opts_.reduce_interval;
     std::uint64_t last_budget_check = 0;
 

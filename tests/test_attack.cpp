@@ -6,8 +6,10 @@
 #include <cstdlib>
 
 #include "attack/appsat.hpp"
+#include "attack/attack.hpp"
 #include "attack/double_dip.hpp"
 #include "attack/equivalence.hpp"
+#include "attack/miter_detail.hpp"
 #include "attack/oracle.hpp"
 #include "attack/sat_attack.hpp"
 #include "camo/cell_library.hpp"
@@ -155,10 +157,11 @@ TEST(SatAttack, MoreFunctionsNeedMoreDips) {
     // same selection.
     const Netlist nl = small_circuit(77);
     const auto sel = select_gates(nl, 0.12, 21);
-    ExactOracle o2(apply_camouflage(nl, sel, camo::alasad17c_zhang16(), 21).netlist);
-    ExactOracle o16(apply_camouflage(nl, sel, camo::gshe16(), 21).netlist);
     const Protection p2 = apply_camouflage(nl, sel, camo::alasad17c_zhang16(), 21);
     const Protection p16 = apply_camouflage(nl, sel, camo::gshe16(), 21);
+    // The oracles keep a reference to their netlist, which must outlive them.
+    ExactOracle o2(p2.netlist);
+    ExactOracle o16(p16.netlist);
     const AttackResult r2 = sat_attack(p2.netlist, o2);
     const AttackResult r16 = sat_attack(p16.netlist, o16);
     ASSERT_EQ(r2.status, AttackResult::Status::Success);
@@ -219,6 +222,113 @@ TEST(DoubleDip, TimeoutReported) {
     opt.timeout_seconds = 0.05;
     const AttackResult res = double_dip_attack(prot.netlist, oracle, opt);
     EXPECT_EQ(res.status, AttackResult::Status::TimedOut);
+}
+
+TEST(DoubleDip, SolverStatsSumBothPhases) {
+    // Double DIP runs two solvers: the 2-DIP miter, then the single-DIP
+    // loop seeded with its observations. Replay both phases from the
+    // attack's own building blocks; the reported search counters must be
+    // the sum over both solvers, not the second one alone.
+    const Netlist nl = small_circuit(41);
+    const Protection prot = protect(nl, camo::gshe16());
+    AttackOptions opt;
+    opt.timeout_seconds = 120.0;
+    ExactOracle oracle(prot.netlist);
+    const AttackResult res = double_dip_attack(prot.netlist, oracle, opt);
+    ASSERT_EQ(res.status, AttackResult::Status::Success);
+
+    ExactOracle replay_oracle(prot.netlist);
+    const Timer timer;
+    const auto solver = detail::make_attack_solver(opt);
+    sat::CircuitEncoder encoder(*solver);
+    const auto enc1 = encoder.encode(prot.netlist);
+    const auto enc2 = encoder.encode(prot.netlist, enc1.pis);
+    const auto enc3 = encoder.encode(prot.netlist, enc1.pis);
+    const auto enc4 = encoder.encode(prot.netlist, enc1.pis);
+    encoder.add_difference(enc1.outs, enc2.outs);
+    encoder.add_difference(enc3.outs, enc4.outs);
+    encoder.add_difference(enc1.keys, enc3.keys);
+    encoder.add_difference(enc1.keys, enc4.keys);
+    encoder.add_difference(enc2.keys, enc3.keys);
+    encoder.add_difference(enc2.keys, enc4.keys);
+    detail::History history;
+    std::size_t two_dips = 0;
+    while (true) {
+        detail::set_remaining_budget(*solver, opt, timer);
+        const auto r = solver->solve();
+        ASSERT_NE(r, sat::SolveResult::Unknown);
+        if (r == sat::SolveResult::Unsat) break;
+        ++two_dips;
+        std::vector<bool> dip = detail::model_values(*solver, enc1.pis);
+        std::vector<bool> response = replay_oracle.query_single(dip);
+        encoder.add_agreement_pair(prot.netlist, enc1.keys, enc2.keys, dip,
+                                   response);
+        encoder.add_agreement_pair(prot.netlist, enc3.keys, enc4.keys, dip,
+                                   response);
+        history.add(std::move(dip), std::move(response));
+    }
+    const sat::SolverStats phase1 = solver->stats();
+    ASSERT_GT(two_dips, 0u);  // phase 1 did search work worth counting
+    ASSERT_GT(phase1.propagations, 0u);
+    const AttackResult phase2 = detail::run_single_dip_loop(
+        prot.netlist, replay_oracle, opt, timer, history, two_dips);
+    EXPECT_EQ(res.iterations, phase2.iterations);
+    EXPECT_EQ(res.solver_stats.conflicts,
+              phase1.conflicts + phase2.solver_stats.conflicts);
+    EXPECT_EQ(res.solver_stats.decisions,
+              phase1.decisions + phase2.solver_stats.decisions);
+    EXPECT_EQ(res.solver_stats.propagations,
+              phase1.propagations + phase2.solver_stats.propagations);
+    EXPECT_EQ(res.solver_stats.restarts,
+              phase1.restarts + phase2.solver_stats.restarts);
+}
+
+// ---- registry: seed independence ----------------------------------------------
+
+void expect_same_result(const AttackResult& a, const AttackResult& b) {
+    EXPECT_EQ(a.status, b.status);
+    EXPECT_EQ(a.key.bits, b.key.bits);
+    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_EQ(a.oracle_patterns, b.oracle_patterns);
+    EXPECT_EQ(a.key_error_rate, b.key_error_rate);
+    EXPECT_EQ(a.key_exact, b.key_exact);
+    EXPECT_EQ(a.solver_stats.conflicts, b.solver_stats.conflicts);
+    EXPECT_EQ(a.solver_stats.decisions, b.solver_stats.decisions);
+    EXPECT_EQ(a.solver_stats.propagations, b.solver_stats.propagations);
+    EXPECT_EQ(a.solver_stats.restarts, b.solver_stats.restarts);
+    EXPECT_EQ(a.solver_stats.learnt_clauses, b.solver_stats.learnt_clauses);
+    EXPECT_EQ(a.solver_stats.removed_clauses, b.solver_stats.removed_clauses);
+    EXPECT_EQ(a.encoder_stats.vars, b.encoder_stats.vars);
+    EXPECT_EQ(a.encoder_stats.clauses, b.encoder_stats.clauses);
+    EXPECT_EQ(a.encoder_stats.agreements, b.encoder_stats.agreements);
+}
+
+TEST(AttackRegistry, SeedIndependentAttacksIgnoreTheSeed) {
+    // The campaign engine runs an attack that declares !reads_seed() once
+    // per shared defense instance and copies its result to sibling seeds.
+    // That is sound only if two seeds on one instance give one result.
+    const Netlist nl = small_circuit(71);
+    const Protection prot = protect(nl, camo::gshe16());
+    std::size_t checked = 0;
+    for (const std::string& name : attack_names()) {
+        const Attack& attack = attack_by_name(name);
+        if (attack.reads_seed()) continue;
+        SCOPED_TRACE(name);
+        AttackOptions opt;
+        opt.timeout_seconds = 120.0;
+        opt.max_conflicts = 50000;
+        std::vector<AttackResult> runs;
+        for (const std::uint64_t seed : {0x1ULL, 0x9e3779b97f4a7c15ULL}) {
+            opt.seed = seed;
+            ExactOracle oracle(prot.netlist);
+            runs.push_back(attack.run(prot.netlist, oracle, opt));
+        }
+        EXPECT_EQ(runs[0].status, AttackResult::Status::Success);
+        expect_same_result(runs[0], runs[1]);
+        ++checked;
+    }
+    EXPECT_EQ(checked, 2u);  // sat and double_dip
+    EXPECT_TRUE(attack_by_name("appsat").reads_seed());
 }
 
 // ---- AppSAT ----------------------------------------------------------------------

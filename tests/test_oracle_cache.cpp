@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -367,6 +369,163 @@ TEST(CampaignCache, ResumeReplaysCacheColumnsByteIdentically) {
     fs::remove_all(dir);
 }
 
+// ---- sibling-seed result reuse ----------------------------------------------
+
+// Table IV style: every defense pinned to one instance per circuit, every
+// attack, three replicate seeds. sat and double_dip on the deterministic
+// camo and sarlock instances are reusable; AppSAT reads the seed and the
+// stochastic oracle is seeded per job, so neither ever reuses.
+std::vector<JobSpec> reuse_matrix() {
+    std::vector<DefenseConfig> defenses;
+    for (const char* kind : {"camo", "sarlock", "stochastic"}) {
+        DefenseConfig d;
+        d.kind = kind;
+        d.fraction = 0.10;
+        d.protect_seed = 42;
+        defenses.push_back(d);
+    }
+    attack::AttackOptions opt;
+    opt.timeout_seconds = 600.0;  // generous: the deterministic budget binds
+    opt.max_conflicts = 10000;
+    return CampaignRunner::cross_product({"alpha", "beta"}, defenses,
+                                         {"sat", "double_dip", "appsat"},
+                                         {1, 2, 3}, opt);
+}
+
+std::vector<std::string> read_lines(const std::string& path) {
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        if (!line.empty()) lines.push_back(line);
+    return lines;
+}
+
+TEST(CampaignCache, ReusedSiblingResultsAreByteIdenticalEverywhere) {
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() / "gshe_oracle_reuse";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+
+    const std::vector<JobSpec> jobs = reuse_matrix();
+    const auto mode = engine::OracleCacheMode::Auto;
+    const engine::CampaignResult serial =
+        CampaignRunner(campaign_options(1, mode)).run(jobs);
+    ASSERT_EQ(serial.errored(), 0u);
+    const std::string baseline = engine::campaign_csv(serial);
+
+    // Threads: donors race, results do not.
+    EXPECT_EQ(engine::campaign_csv(
+                  CampaignRunner(campaign_options(8, mode)).run(jobs)),
+              baseline);
+
+    // 2-way shard + merge: each shard picks its own donors.
+    std::vector<std::string> journals;
+    for (std::size_t s = 0; s < 2; ++s) {
+        CampaignOptions options = campaign_options(4, mode);
+        options.shard = engine::ShardSpec{s, 2};
+        options.checkpoint_path =
+            (dir / ("shard" + std::to_string(s) + ".jsonl")).string();
+        EXPECT_EQ(CampaignRunner(options).run(jobs).errored(), 0u);
+        journals.push_back(options.checkpoint_path);
+    }
+    const engine::MergeReport merged = engine::merge_journals(journals);
+    ASSERT_TRUE(merged.ok()) << merged.errors.front();
+    EXPECT_EQ(engine::campaign_csv(merged.result), baseline);
+
+    // Resume from a journal prefix: some donors are already journaled, so
+    // their unfinished siblings must run (or reuse) among themselves.
+    const std::string journal = (dir / "full.jsonl").string();
+    CampaignOptions full = campaign_options(1, mode);
+    full.checkpoint_path = journal;
+    full.resume_from_checkpoint = false;
+    EXPECT_EQ(engine::campaign_csv(CampaignRunner(full).run(jobs)), baseline);
+    const std::vector<std::string> lines = read_lines(journal);
+    ASSERT_EQ(lines.size(), jobs.size());
+    {
+        std::ofstream out(journal, std::ios::trunc);
+        for (std::size_t i = 0; i < lines.size() / 2; ++i)
+            out << lines[i] << '\n';
+    }
+    CampaignOptions resume = campaign_options(8, mode);
+    resume.checkpoint_path = journal;
+    const engine::CampaignResult resumed = CampaignRunner(resume).run(jobs);
+    EXPECT_EQ(resumed.resumed, lines.size() / 2);
+    EXPECT_EQ(engine::campaign_csv(resumed), baseline);
+    fs::remove_all(dir);
+}
+
+TEST(CampaignCache, ReuseRunsEachSeedIndependentAttackOncePerInstance) {
+    const std::vector<JobSpec> jobs = reuse_matrix();
+    const CampaignOptions options =
+        campaign_options(1, engine::OracleCacheMode::Auto);
+    const JobPlan plan = engine::plan_jobs(jobs, options.campaign_seed);
+    const engine::CampaignResult result = CampaignRunner(options).run(plan);
+    ASSERT_EQ(result.errored(), 0u);
+
+    // Members per (defense group, attack): the reuse key, since specs of
+    // one group and attack differ only in the replicate seed.
+    std::map<std::pair<std::size_t, std::string>, std::vector<std::size_t>>
+        by_key;
+    for (const auto& job : plan.jobs)
+        by_key[{job.group, job.spec.attack}].push_back(job.index);
+
+    std::size_t reusable_keys = 0;
+    for (const auto& [key, members] : by_key) {
+        const engine::JobResult& first = result.jobs[members.front()];
+        const bool reusable = key.second != "appsat" &&
+                              first.oracle_contract == "deterministic" &&
+                              first.oracle_group_size > 1;
+        std::size_t reused = 0;
+        for (const std::size_t m : members) {
+            const engine::JobResult& j = result.jobs[m];
+            if (!j.reused_from) continue;
+            ++reused;
+            // At one thread the first member in plan order is the donor,
+            // and the copy is the donor's result.
+            EXPECT_EQ(*j.reused_from, members.front());
+            EXPECT_EQ(j.result.key.bits, first.result.key.bits);
+            EXPECT_EQ(j.result.solver_stats.propagations,
+                      first.result.solver_stats.propagations);
+            EXPECT_EQ(j.oracle_stats.calls, first.oracle_stats.calls);
+        }
+        if (reusable) {
+            ++reusable_keys;
+            EXPECT_EQ(reused, members.size() - 1) << key.second;
+        } else {
+            EXPECT_EQ(reused, 0u) << key.second;
+        }
+    }
+    EXPECT_EQ(reusable_keys, 8u);  // {alpha, beta} x {camo, sarlock} x 2
+    for (const auto& j : result.jobs)
+        if (j.attack == "appsat" || j.defense.find("stochastic") == 0) {
+            EXPECT_FALSE(j.reused_from.has_value()) << j.index;
+        }
+
+    // A copied result is the result the job computes on its own: rerun
+    // each reused job as a one-job campaign (a singleton group, so it
+    // attacks the same pinned instance privately).
+    for (const auto& j : result.jobs) {
+        if (!j.reused_from) continue;
+        const engine::CampaignResult alone =
+            CampaignRunner(options).run({jobs[j.index]});
+        ASSERT_EQ(alone.jobs.size(), 1u);
+        const engine::JobResult& a = alone.jobs.front();
+        EXPECT_FALSE(a.reused_from.has_value());
+        EXPECT_EQ(a.result.status, j.result.status) << j.index;
+        EXPECT_EQ(a.result.key.bits, j.result.key.bits) << j.index;
+        EXPECT_EQ(a.result.iterations, j.result.iterations) << j.index;
+        EXPECT_EQ(a.result.solver_stats.conflicts,
+                  j.result.solver_stats.conflicts) << j.index;
+        EXPECT_EQ(a.oracle_stats.patterns, j.oracle_stats.patterns) << j.index;
+        EXPECT_EQ(a.oracle_unique, j.oracle_unique) << j.index;
+    }
+
+    // The donor index is scheduling data: JSON report only, never the CSV.
+    EXPECT_EQ(engine::campaign_csv(result).find("reused"), std::string::npos);
+    EXPECT_NE(engine::campaign_json(result).find("\"reused_from\""),
+              std::string::npos);
+}
+
 // ---- journal round-trip of the measured cache stats -------------------------
 
 TEST(CheckpointCache, CacheStatFieldsRoundTripThroughARecord) {
@@ -386,6 +545,7 @@ TEST(CheckpointCache, CacheStatFieldsRoundTripThroughARecord) {
     r.oracle_cache.bypassed = 2;
     r.oracle_cache.unique_patterns = 17;
     r.oracle_cache.inserted_bytes = 4096;
+    r.reused_from = 1;
 
     const std::string line =
         engine::checkpoint::encode_record(99, spec, r, {});
@@ -402,6 +562,14 @@ TEST(CheckpointCache, CacheStatFieldsRoundTripThroughARecord) {
     EXPECT_EQ(d.oracle_cache.bypassed, 2u);
     EXPECT_EQ(d.oracle_cache.unique_patterns, 17u);
     EXPECT_EQ(d.oracle_cache.inserted_bytes, 4096u);
+    ASSERT_TRUE(d.reused_from.has_value());
+    EXPECT_EQ(*d.reused_from, 1u);
+    // Absent in a record of a job that ran its own attack.
+    r.reused_from.reset();
+    const auto own = engine::checkpoint::decode_record(
+        engine::checkpoint::encode_record(99, spec, r, {}));
+    ASSERT_TRUE(own.has_value());
+    EXPECT_FALSE(own->result.reused_from.has_value());
 }
 
 }  // namespace

@@ -130,7 +130,15 @@ void usage() {
         "                     'gates are randomly selected once ... and then\n"
         "                     reapplied across all techniques'). Jobs that then\n"
         "                     attack identical defense instances share one\n"
-        "                     build and one oracle query memo\n"
+        "                     build and one oracle query memo. sat and\n"
+        "                     double_dip ignore the seed, so on a deterministic\n"
+        "                     oracle (camo, delay_aware, sarlock) with the\n"
+        "                     internal solver they run once per instance and\n"
+        "                     the other seeds reuse that result; appsat (seeded\n"
+        "                     sampling), stochastic/dynamic oracles and the\n"
+        "                     dimacs backend always run per job. A reused row's\n"
+        "                     attack_seconds is the first run's; its\n"
+        "                     job_seconds includes the wait for it\n"
         "  --oracle-cache=M   query-memo policy: on | off | auto (default\n"
         "                     auto = memo only defense-instance groups with\n"
         "                     more than one job). The deterministic CSV is\n"
