@@ -4,12 +4,14 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
 
 #include "common/timer.hpp"
 #include "engine/checkpoint.hpp"
+#include "engine/reuse_cell.hpp"
 #include "netlist/corpus.hpp"
 
 namespace gshe::engine {
@@ -173,20 +175,29 @@ std::size_t CampaignRunner::resolve_threads(std::size_t jobs) const {
 /// last of them finishes (so a long campaign holds only the netlists its
 /// in-flight jobs need).
 ///
-/// It also holds one once-cell per reuse key (the spec with its replicate
-/// seed cleared): the first member to arrive runs the attack, later members
-/// copy its result, and a member arriving mid-run waits for it. A throw
-/// leaves the cell incomplete, so the next member runs the attack itself and
-/// an error is never reused.
+/// It also holds one ReuseCell per reuse key (the spec with its replicate
+/// seed cleared): the first member to arrive runs the attack, and later
+/// members copy its result. A member arriving mid-run is parked in the cell
+/// and its worker takes the next job; the donor's worker finishes it. A
+/// throw reopens the cell, so a parked member runs the attack itself and an
+/// error is never reused.
 struct CampaignRunner::GroupRuntime {
-    struct Reuse {
-        std::once_flag once;
+    /// What a donor hands its siblings.
+    struct Reused {
         std::size_t donor = 0;  ///< plan index of the job that ran the attack
         attack::AttackResult result;
         attack::OracleStats oracle_stats;
         std::uint64_t oracle_epochs = 0;
         std::uint64_t oracle_unique = 0;
     };
+    /// A job between set-up and its result: its slot in execute()'s index
+    /// list and its result with the set-up filled in. It waits in a reuse
+    /// cell while a sibling's attack runs.
+    struct Pending {
+        std::size_t slot = 0;
+        JobResult result;
+    };
+    using Cell = ReuseCell<Reused, Pending>;
 
     const PlannedJob* canonical = nullptr;  ///< the group's first plan member
     std::size_t plan_members = 1;           ///< group size across the whole plan
@@ -195,36 +206,174 @@ struct CampaignRunner::GroupRuntime {
     std::unique_ptr<DefenseInstance> instance;
     std::unique_ptr<attack::OracleService> service;
     std::string build_error;                ///< non-empty: the build threw
-    std::atomic<std::size_t> remaining{0};  ///< member jobs left in this call
+    /// Member jobs left in this call, parked ones included.
+    std::atomic<std::size_t> remaining{0};
     std::mutex reuse_mutex;
-    std::unordered_map<std::string, std::unique_ptr<Reuse>> reuse;
+    std::unordered_map<std::string, std::unique_ptr<Cell>> reuse;
 
-    Reuse& reuse_cell(const JobSpec& spec) {
+    Cell& reuse_cell(const JobSpec& spec) {
         JobSpec sibling = spec;
         sibling.seed = 0;
         std::string key = checkpoint::spec_json(sibling);
         const std::lock_guard<std::mutex> lock(reuse_mutex);
         auto& cell = reuse[std::move(key)];
-        if (!cell) cell = std::make_unique<Reuse>();
+        if (!cell) cell = std::make_unique<Cell>();
         return *cell;
+    }
+
+    /// Counts one member finished. Last member out releases the shared
+    /// instance; memory stays bounded by the set of groups with unfinished
+    /// jobs, not by the whole campaign.
+    void finish_member() {
+        if (remaining.fetch_sub(1) == 1) {
+            service.reset();
+            instance.reset();
+            reuse.clear();
+        }
     }
 };
 
-JobResult CampaignRunner::run_job(const PlannedJob& job,
-                                  GroupRuntime& group) const {
-    Timer timer;
-    const JobSpec& spec = job.spec;
-    JobResult r;
-    r.index = job.index;
-    r.circuit = spec.circuit;
-    r.defense = spec.defense.label();
-    r.attack = spec.attack;
-    r.solver_backend = spec.attack_options.solver_backend;
-    r.spec_seed = spec.seed;
-    r.derived_seed = job.derived_seed;
-    r.oracle_group = static_cast<std::uint64_t>(job.group);
-    r.oracle_group_size = static_cast<std::uint64_t>(group.plan_members);
-    try {
+/// One execute() call: the worker pool's shared state and the path of one
+/// job through set-up, its group's reuse cell and its attack. Every job is
+/// finished (result stored, group member counted, on_done fired) exactly
+/// once, by whichever worker produced its result.
+struct CampaignRunner::Execution {
+    using Reused = GroupRuntime::Reused;
+    using Pending = GroupRuntime::Pending;
+    using Cell = GroupRuntime::Cell;
+
+    const CampaignRunner& runner;
+    const JobPlan& plan;
+    const std::vector<std::size_t>& indices;
+    const std::function<void(const JobResult&)>& on_done;
+    std::vector<JobResult> out;
+    /// One GroupRuntime per sharing group with members in this index
+    /// subset. Keyed by group id; membership counts cover only this call (a
+    /// sharded or resumed run frees an instance as soon as *its* members
+    /// finish).
+    std::unordered_map<std::size_t, std::unique_ptr<GroupRuntime>> groups;
+    std::mutex done_mutex;
+
+    Execution(const CampaignRunner& r, const JobPlan& p,
+              const std::vector<std::size_t>& i,
+              const std::function<void(const JobResult&)>& d)
+        : runner(r), plan(p), indices(i), on_done(d), out(i.size()) {
+        for (const std::size_t index : indices) {
+            const PlannedJob& job = plan.jobs[index];
+            auto& slot = groups[job.group];
+            if (!slot) {
+                slot = std::make_unique<GroupRuntime>();
+                const DefenseGroup& g = plan.group_of(index);
+                slot->canonical = &plan.jobs[g.id];
+                slot->plan_members = g.members.size();
+                switch (runner.options_.oracle_cache) {
+                    case OracleCacheMode::Off: slot->cache_enabled = false; break;
+                    case OracleCacheMode::On: slot->cache_enabled = true; break;
+                    case OracleCacheMode::Auto:
+                        slot->cache_enabled = g.members.size() > 1;
+                        break;
+                }
+            }
+            slot->remaining.fetch_add(1);
+        }
+    }
+
+    const PlannedJob& job_at(std::size_t slot) const {
+        return plan.jobs[indices[slot]];
+    }
+    GroupRuntime& group_at(std::size_t slot) const {
+        return *groups.at(job_at(slot).group);
+    }
+
+    /// Runs the job in `slot` as far as it can without waiting: to its
+    /// result, or into its reuse cell when a sibling's attack is running.
+    void run_slot(std::size_t slot) {
+        Timer timer;
+        const PlannedJob& planned = job_at(slot);
+        GroupRuntime& group = group_at(slot);
+        Pending job{slot, {}};
+        Cell* cell = nullptr;
+        try {
+            cell = set_up(planned, group, job.result);
+            if (!cell) attack(planned, group, job.result);
+        } catch (const std::exception& e) {
+            job.result.error = e.what();
+        } catch (...) {
+            job.result.error = "unknown exception";
+        }
+        job.result.job_seconds = timer.seconds();
+        if (!cell) return finish(std::move(job));
+        switch (cell->arrive(std::move(job))) {
+            case Cell::Arrival::Deferred: return;
+            case Cell::Arrival::Done:
+                copy(cell->result(), job.result);
+                return finish(std::move(job));
+            case Cell::Arrival::Donor: return donate(*cell, std::move(job));
+        }
+    }
+
+    /// Runs the attack for `cell` as its donor and finishes every member
+    /// parked meanwhile with the result. When the attack throws, the first
+    /// member handed back becomes the next donor.
+    void donate(Cell& cell, Pending donor) {
+        while (true) {
+            Timer timer;
+            try {
+                attack(job_at(donor.slot), group_at(donor.slot), donor.result);
+            } catch (const std::exception& e) {
+                donor.result.error = e.what();
+            } catch (...) {
+                donor.result.error = "unknown exception";
+            }
+            donor.result.job_seconds += timer.seconds();
+            if (donor.result.error.empty()) {
+                const Reused reused{donor.result.index, donor.result.result,
+                                    donor.result.oracle_stats,
+                                    donor.result.oracle_epochs,
+                                    donor.result.oracle_unique};
+                std::vector<Pending> parked = cell.complete(reused);
+                finish(std::move(donor));
+                for (Pending& p : parked) {
+                    copy(reused, p.result);
+                    finish(std::move(p));
+                }
+                return;
+            }
+            std::vector<Pending> parked = cell.abandon();
+            // The parked members still count toward the group, so the cell
+            // outlives this finish whenever `parked` is non-empty.
+            finish(std::move(donor));
+            std::optional<Pending> next;
+            for (Pending& p : parked) {
+                switch (cell.arrive(std::move(p))) {
+                    case Cell::Arrival::Deferred: break;
+                    case Cell::Arrival::Done:
+                        copy(cell.result(), p.result);
+                        finish(std::move(p));
+                        break;
+                    case Cell::Arrival::Donor: next = std::move(p); break;
+                }
+            }
+            if (!next) return;
+            donor = std::move(*next);
+        }
+    }
+
+    /// Set-up: identity columns, the group's shared instance and the oracle
+    /// columns. Returns the reuse cell the attack goes through, or nullptr
+    /// when the job attacks on its own.
+    Cell* set_up(const PlannedJob& job, GroupRuntime& group,
+                 JobResult& r) const {
+        const JobSpec& spec = job.spec;
+        r.index = job.index;
+        r.circuit = spec.circuit;
+        r.defense = spec.defense.label();
+        r.attack = spec.attack;
+        r.solver_backend = spec.attack_options.solver_backend;
+        r.spec_seed = spec.seed;
+        r.derived_seed = job.derived_seed;
+        r.oracle_group = static_cast<std::uint64_t>(job.group);
+        r.oracle_group_size = static_cast<std::uint64_t>(group.plan_members);
         const attack::Attack& attack = attack::attack_by_name(spec.attack);
         // Build-once: the group's instance is constructed from its
         // canonical (first-in-plan) member, which by fingerprint equality
@@ -233,7 +382,7 @@ JobResult CampaignRunner::run_job(const PlannedJob& job,
             try {
                 const PlannedJob& c = *group.canonical;
                 const netlist::Netlist base =
-                    options_.netlist_provider(c.spec.circuit);
+                    runner.options_.netlist_provider(c.spec.circuit);
                 group.instance = std::make_unique<DefenseInstance>(
                     DefenseFactory::build(base, c.spec.defense,
                                           c.derived_seed));
@@ -248,7 +397,7 @@ JobResult CampaignRunner::run_job(const PlannedJob& job,
                 (void)group.instance->netlist->key_support();
                 attack::OracleService::Options sopts;
                 sopts.enable_cache = group.cache_enabled;
-                sopts.max_bytes = options_.oracle_cache_bytes;
+                sopts.max_bytes = runner.options_.oracle_cache_bytes;
                 group.service = std::make_unique<attack::OracleService>(
                     *group.instance->oracle, sopts);
             } catch (const std::exception& e) {
@@ -265,65 +414,59 @@ JobResult CampaignRunner::run_job(const PlannedJob& job,
             throw std::runtime_error(group.build_error);
         r.protected_cells = group.instance->protected_cells;
         r.key_bits = group.instance->key_bits;
-        attack::AttackOptions options = spec.attack_options;
-        options.seed = r.derived_seed;
-        // The client is this job's private view of the shared oracle: the
-        // attack cannot tell it from a dedicated instance, and all metering
-        // (logical queries, epochs, memo hits) is attributed to this job.
-        const std::unique_ptr<attack::OracleService::Client> oracle =
-            group.service->make_client();
-        r.oracle_contract = attack::oracle_contract_name(oracle->contract());
+        const attack::OracleContract contract =
+            group.instance->oracle->contract();
+        r.oracle_contract = attack::oracle_contract_name(contract);
         r.oracle_cache_enabled = group.service->cache_active();
-        const auto run_attack = [&] {
-            r.result = attack.run(*group.instance->netlist, *oracle, options);
-            r.oracle_stats = oracle->stats();
-            r.oracle_epochs = oracle->epochs_elapsed();
-            r.oracle_cache = oracle->cache_stats();
-            r.oracle_unique = r.oracle_cache.unique_patterns;
-        };
         // Only the internal backend is deterministic under max_conflicts,
         // and only a deterministic oracle answers every sibling alike.
         const bool reusable =
             group.plan_members > 1 && !attack.reads_seed() &&
-            oracle->contract() == attack::OracleContract::Deterministic &&
-            options.solver_backend == "internal";
-        if (!reusable) {
-            run_attack();
-        } else {
-            GroupRuntime::Reuse& cell = group.reuse_cell(spec);
-            bool donor = false;
-            std::call_once(cell.once, [&] {
-                run_attack();
-                cell.donor = job.index;
-                cell.result = r.result;
-                cell.oracle_stats = r.oracle_stats;
-                cell.oracle_epochs = r.oracle_epochs;
-                cell.oracle_unique = r.oracle_unique;
-                donor = true;
-            });
-            if (!donor) {
-                r.result = cell.result;
-                r.oracle_stats = cell.oracle_stats;
-                r.oracle_epochs = cell.oracle_epochs;
-                r.oracle_unique = cell.oracle_unique;
-                r.reused_from = cell.donor;
+            contract == attack::OracleContract::Deterministic &&
+            spec.attack_options.solver_backend == "internal";
+        return reusable ? &group.reuse_cell(spec) : nullptr;
+    }
+
+    /// Runs the job's attack on its own client of the group's oracle: the
+    /// attack cannot tell it from a dedicated instance, and all metering
+    /// (logical queries, epochs, memo hits) is attributed to this job.
+    static void attack(const PlannedJob& job, GroupRuntime& group,
+                       JobResult& r) {
+        attack::AttackOptions options = job.spec.attack_options;
+        options.seed = r.derived_seed;
+        const std::unique_ptr<attack::OracleService::Client> oracle =
+            group.service->make_client();
+        r.result = attack::attack_by_name(job.spec.attack)
+                       .run(*group.instance->netlist, *oracle, options);
+        r.oracle_stats = oracle->stats();
+        r.oracle_epochs = oracle->epochs_elapsed();
+        r.oracle_cache = oracle->cache_stats();
+        r.oracle_unique = r.oracle_cache.unique_patterns;
+    }
+
+    static void copy(const Reused& from, JobResult& r) {
+        r.result = from.result;
+        r.oracle_stats = from.oracle_stats;
+        r.oracle_epochs = from.oracle_epochs;
+        r.oracle_unique = from.oracle_unique;
+        r.reused_from = from.donor;
+    }
+
+    void finish(Pending job) {
+        group_at(job.slot).finish_member();
+        if (on_done) {
+            // Serialized, and a throw escaping a worker thread would
+            // std::terminate the whole campaign; progress reporting is
+            // not worth that.
+            const std::lock_guard<std::mutex> lock(done_mutex);
+            try {
+                on_done(job.result);
+            } catch (...) {
             }
         }
-    } catch (const std::exception& e) {
-        r.error = e.what();
-    } catch (...) {
-        r.error = "unknown exception";
+        out[job.slot] = std::move(job.result);
     }
-    // Last member out releases the shared instance; memory stays bounded by
-    // the set of groups with in-flight jobs, not by the whole campaign.
-    if (group.remaining.fetch_sub(1) == 1) {
-        group.service.reset();
-        group.instance.reset();
-        group.reuse.clear();
-    }
-    r.job_seconds = timer.seconds();
-    return r;
-}
+};
 
 std::vector<JobResult> CampaignRunner::execute(
     const JobPlan& plan, const std::vector<std::size_t>& indices,
@@ -332,54 +475,17 @@ std::vector<JobResult> CampaignRunner::execute(
         if (i >= plan.jobs.size())
             throw std::invalid_argument("execute: plan index " +
                                         std::to_string(i) + " out of range");
-    std::vector<JobResult> out(indices.size());
-    const std::size_t threads = resolve_threads(indices.size());
-
-    // One GroupRuntime per sharing group with members in this index subset.
-    // Keyed by group id; membership counts cover only this call (a sharded
-    // or resumed run frees an instance as soon as *its* members finish).
-    std::unordered_map<std::size_t, std::unique_ptr<GroupRuntime>> groups;
-    for (const std::size_t i : indices) {
-        const PlannedJob& job = plan.jobs[i];
-        auto& slot = groups[job.group];
-        if (!slot) {
-            slot = std::make_unique<GroupRuntime>();
-            const DefenseGroup& g = plan.group_of(i);
-            slot->canonical = &plan.jobs[g.id];
-            slot->plan_members = g.members.size();
-            switch (options_.oracle_cache) {
-                case OracleCacheMode::Off: slot->cache_enabled = false; break;
-                case OracleCacheMode::On: slot->cache_enabled = true; break;
-                case OracleCacheMode::Auto:
-                    slot->cache_enabled = g.members.size() > 1;
-                    break;
-            }
-        }
-        slot->remaining.fetch_add(1);
-    }
-
+    Execution run(*this, plan, indices, on_done);
     std::atomic<std::size_t> next{0};
-    std::mutex done_mutex;
     auto worker = [&] {
         while (true) {
             const std::size_t slot = next.fetch_add(1);
             if (slot >= indices.size()) break;
-            const PlannedJob& job = plan.jobs[indices[slot]];
-            JobResult r = run_job(job, *groups.at(job.group));
-            if (on_done) {
-                // Serialized, and a throw escaping a worker thread would
-                // std::terminate the whole campaign; progress reporting is
-                // not worth that.
-                const std::lock_guard<std::mutex> lock(done_mutex);
-                try {
-                    on_done(r);
-                } catch (...) {
-                }
-            }
-            out[slot] = std::move(r);
+            run.run_slot(slot);
         }
     };
 
+    const std::size_t threads = resolve_threads(indices.size());
     if (threads <= 1) {
         worker();
     } else {
@@ -388,7 +494,7 @@ std::vector<JobResult> CampaignRunner::execute(
         for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
         for (auto& t : pool) t.join();
     }
-    return out;
+    return std::move(run.out);
 }
 
 // ---- run: plan + resume + execute + aggregate -------------------------------

@@ -114,8 +114,9 @@ struct JobResult {
     /// it rides only the JSON report and the checkpoint journal.
     std::optional<std::uint64_t> reused_from;
 
-    /// Wall clock incl. netlist/defense build and any wait for a sibling's
-    /// reused attack (result.seconds is then the sibling's attack time).
+    /// Wall clock incl. netlist/defense build. A job that copied a
+    /// sibling's result counts only its own set-up (result.seconds is then
+    /// the sibling's attack time).
     double job_seconds = 0.0;
     std::string error;         ///< non-empty: the job threw; result is default
 };
@@ -307,7 +308,7 @@ public:
 
 private:
     struct GroupRuntime;
-    JobResult run_job(const PlannedJob& job, GroupRuntime& group) const;
+    struct Execution;
     /// Worker-pool size for `jobs` runnable jobs: options_.threads
     /// (0 = all cores), never more threads than jobs, at least 1.
     /// CampaignResult::threads reports this for the jobs that actually ran

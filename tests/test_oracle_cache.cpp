@@ -4,13 +4,20 @@
 // evaluate(), the planner's defense-instance sharing groups, and — the
 // acceptance criterion — that campaign CSVs are byte-identical with the
 // memo on or off at any thread/shard count, with the cache-stat fields
-// round-tripping through the checkpoint journal.
+// round-tripping through the checkpoint journal. Sibling-seed result reuse
+// is tested through the executor and, for its reuse cell
+// (engine/reuse_cell.hpp), on its own.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "attack/oracle.hpp"
@@ -22,6 +29,7 @@
 #include "engine/checkpoint.hpp"
 #include "engine/merge.hpp"
 #include "engine/report.hpp"
+#include "engine/reuse_cell.hpp"
 #include "netlist/generator.hpp"
 
 namespace gshe {
@@ -369,6 +377,124 @@ TEST(CampaignCache, ResumeReplaysCacheColumnsByteIdentically) {
     fs::remove_all(dir);
 }
 
+// ---- the reuse cell on its own ------------------------------------------------
+
+// The executor's per-reuse-key state machine, driven without an attack:
+// Result is the donor's answer, a follower is the id of a parked job.
+using Cell = engine::ReuseCell<int, int>;
+
+TEST(ReuseCell, FollowersArrivingWhileTheDonorRunsAreDeferred) {
+    Cell cell;
+    EXPECT_EQ(cell.arrive(0), Cell::Arrival::Donor);
+    EXPECT_EQ(cell.arrive(1), Cell::Arrival::Deferred);
+    EXPECT_EQ(cell.arrive(2), Cell::Arrival::Deferred);
+    // complete() hands each parked follower back exactly once, in arrival
+    // order; arrivals after it copy the result instead of parking.
+    EXPECT_EQ(cell.complete(42), (std::vector<int>{1, 2}));
+    EXPECT_EQ(cell.arrive(3), Cell::Arrival::Done);
+    EXPECT_EQ(cell.result(), 42);
+    EXPECT_THROW(cell.complete(7), std::logic_error);
+    EXPECT_THROW(cell.abandon(), std::logic_error);
+    EXPECT_EQ(cell.result(), 42);
+}
+
+TEST(ReuseCell, AbandonReopensTheCellAndTheNextFollowerDonates) {
+    Cell cell;
+    EXPECT_THROW(cell.complete(7), std::logic_error);  // no donor yet
+    ASSERT_EQ(cell.arrive(0), Cell::Arrival::Donor);
+    EXPECT_EQ(cell.arrive(1), Cell::Arrival::Deferred);
+    EXPECT_EQ(cell.arrive(2), Cell::Arrival::Deferred);
+    // The donor threw: its followers come back and the cell is open again,
+    // so re-arriving them makes the first the new donor and parks the rest.
+    const std::vector<int> back = cell.abandon();
+    ASSERT_EQ(back, (std::vector<int>{1, 2}));
+    EXPECT_EQ(cell.arrive(1), Cell::Arrival::Donor);
+    EXPECT_EQ(cell.arrive(2), Cell::Arrival::Deferred);
+    EXPECT_EQ(cell.complete(5), (std::vector<int>{2}));
+    EXPECT_EQ(cell.arrive(3), Cell::Arrival::Done);
+    EXPECT_EQ(cell.result(), 5);  // the failed run left nothing behind
+
+    // A donor that fails alone reopens the cell for the next arrival.
+    Cell lone;
+    ASSERT_EQ(lone.arrive(0), Cell::Arrival::Donor);
+    EXPECT_TRUE(lone.abandon().empty());
+    EXPECT_EQ(lone.arrive(1), Cell::Arrival::Donor);
+}
+
+// Concurrent arrivals driven like the campaign executor: a donor's worker
+// finishes every follower handed back to it, the first donor throws once a
+// quarter of the ids have arrived, and its worker re-arrives the followers
+// it gets back. Every id must be finished exactly once, only the failed
+// donor without the result.
+TEST(ReuseCell, EveryConcurrentArrivalIsFinishedExactlyOnce) {
+    constexpr int kIds = 400;
+    constexpr int kThreads = 4;
+    Cell cell;
+    std::vector<std::atomic<int>> finished(kIds);
+    std::vector<std::atomic<int>> answer(kIds);
+    std::atomic<bool> failed{false};
+    std::atomic<int> arrived{0};
+    std::atomic<int> deferred{0};
+    const auto finish = [&](int id, int value) {
+        answer[id].store(value);
+        finished[id].fetch_add(1);
+    };
+    const auto donate = [&](int donor) {
+        while (true) {
+            if (failed.exchange(true)) {
+                const int result = 1000 + donor;
+                std::vector<int> parked = cell.complete(result);
+                finish(donor, result);
+                for (const int id : parked) finish(id, result);
+                return;
+            }
+            // Arrivals never block, so the other threads get here while
+            // this thread, holding a quarter of the ids, waits.
+            while (arrived.load() < kIds / 4) std::this_thread::yield();
+            std::vector<int> parked = cell.abandon();
+            finish(donor, -1);
+            std::optional<int> next;
+            for (int id : parked) {
+                switch (cell.arrive(std::move(id))) {
+                    case Cell::Arrival::Deferred: break;
+                    case Cell::Arrival::Done: finish(id, cell.result()); break;
+                    case Cell::Arrival::Donor: next = id; break;
+                }
+            }
+            if (!next) return;
+            donor = *next;
+        }
+    };
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t)
+        pool.emplace_back([&, t] {
+            for (int id = t; id < kIds; id += kThreads) {
+                switch (cell.arrive(int{id})) {
+                    case Cell::Arrival::Deferred: deferred.fetch_add(1); break;
+                    case Cell::Arrival::Done: finish(id, cell.result()); break;
+                    case Cell::Arrival::Donor: donate(id); break;
+                }
+                arrived.fetch_add(1);
+            }
+        });
+    for (auto& t : pool) t.join();
+    EXPECT_GE(deferred.load(), kIds / 4);
+
+    int errors = 0;
+    std::set<int> results;
+    for (int id = 0; id < kIds; ++id) {
+        EXPECT_EQ(finished[id].load(), 1) << "id " << id;
+        if (answer[id].load() < 0)
+            ++errors;
+        else
+            results.insert(answer[id].load());
+    }
+    EXPECT_EQ(errors, 1);
+    // One successful donor, copied by all; never the failed run.
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_GE(*results.begin(), 1000);
+}
+
 // ---- sibling-seed result reuse ----------------------------------------------
 
 // Table IV style: every defense pinned to one instance per circuit, every
@@ -392,6 +518,24 @@ std::vector<JobSpec> reuse_matrix() {
                                          {1, 2, 3}, opt);
 }
 
+// Plan indices per (defense group, attack): the reuse key, since specs of
+// one group and attack differ only in the replicate seed.
+std::map<std::pair<std::size_t, std::string>, std::vector<std::size_t>>
+reuse_keys(const JobPlan& plan) {
+    std::map<std::pair<std::size_t, std::string>, std::vector<std::size_t>>
+        by_key;
+    for (const auto& job : plan.jobs)
+        by_key[{job.group, job.spec.attack}].push_back(job.index);
+    return by_key;
+}
+
+// Whether the executor may reuse within a key, judged from one member.
+bool reusable_key(const engine::JobResult& member) {
+    return member.attack != "appsat" &&
+           member.oracle_contract == "deterministic" &&
+           member.oracle_group_size > 1;
+}
+
 std::vector<std::string> read_lines(const std::string& path) {
     std::ifstream in(path);
     std::vector<std::string> lines;
@@ -413,10 +557,53 @@ TEST(CampaignCache, ReusedSiblingResultsAreByteIdenticalEverywhere) {
     ASSERT_EQ(serial.errored(), 0u);
     const std::string baseline = engine::campaign_csv(serial);
 
-    // Threads: donors race, results do not.
-    EXPECT_EQ(engine::campaign_csv(
-                  CampaignRunner(campaign_options(8, mode)).run(jobs)),
-              baseline);
+    // Threads: donors race, results do not. A job parked while its donor
+    // runs is finished by the donor's worker, and still fires on_job_done
+    // and reaches the journal exactly once.
+    const JobPlan plan =
+        engine::plan_jobs(jobs, campaign_options(1, mode).campaign_seed);
+    for (const int threads : {2, 8}) {
+        CampaignOptions options = campaign_options(threads, mode);
+        std::vector<int> done(jobs.size(), 0);
+        options.on_job_done = [&done](const engine::JobResult& r) {
+            ++done.at(r.index);
+        };
+        options.checkpoint_path =
+            (dir / ("threads" + std::to_string(threads) + ".jsonl")).string();
+        const engine::CampaignResult result = CampaignRunner(options).run(plan);
+        EXPECT_EQ(engine::campaign_csv(result), baseline) << threads;
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            EXPECT_EQ(done[i], 1) << "job " << i << " at " << threads;
+        EXPECT_EQ(read_lines(options.checkpoint_path).size(), jobs.size());
+        std::map<std::uint64_t, int> records;
+        for (const auto& record :
+             engine::checkpoint::load_journal(options.checkpoint_path))
+            ++records[record.key];
+        for (const auto& job : plan.jobs)
+            EXPECT_EQ(records[job.key], 1) << "job " << job.index;
+        if (threads != 2) continue;
+        // Whichever member donates, every other member of a reusable key
+        // copies that one donor.
+        for (const auto& [key, members] : reuse_keys(plan)) {
+            std::set<std::uint64_t> donors;
+            std::size_t reused = 0;
+            for (const std::size_t m : members)
+                if (result.jobs[m].reused_from) {
+                    ++reused;
+                    donors.insert(*result.jobs[m].reused_from);
+                }
+            if (!reusable_key(result.jobs[members.front()])) {
+                EXPECT_EQ(reused, 0u) << key.second;
+                continue;
+            }
+            EXPECT_EQ(reused, members.size() - 1) << key.second;
+            ASSERT_EQ(donors.size(), 1u) << key.second;
+            const std::size_t donor = *donors.begin();
+            EXPECT_NE(std::find(members.begin(), members.end(), donor),
+                      members.end());
+            EXPECT_FALSE(result.jobs[donor].reused_from.has_value());
+        }
+    }
 
     // 2-way shard + merge: each shard picks its own donors.
     std::vector<std::string> journals;
@@ -462,19 +649,10 @@ TEST(CampaignCache, ReuseRunsEachSeedIndependentAttackOncePerInstance) {
     const engine::CampaignResult result = CampaignRunner(options).run(plan);
     ASSERT_EQ(result.errored(), 0u);
 
-    // Members per (defense group, attack): the reuse key, since specs of
-    // one group and attack differ only in the replicate seed.
-    std::map<std::pair<std::size_t, std::string>, std::vector<std::size_t>>
-        by_key;
-    for (const auto& job : plan.jobs)
-        by_key[{job.group, job.spec.attack}].push_back(job.index);
-
     std::size_t reusable_keys = 0;
-    for (const auto& [key, members] : by_key) {
+    for (const auto& [key, members] : reuse_keys(plan)) {
         const engine::JobResult& first = result.jobs[members.front()];
-        const bool reusable = key.second != "appsat" &&
-                              first.oracle_contract == "deterministic" &&
-                              first.oracle_group_size > 1;
+        const bool reusable = reusable_key(first);
         std::size_t reused = 0;
         for (const std::size_t m : members) {
             const engine::JobResult& j = result.jobs[m];

@@ -138,7 +138,7 @@ void usage() {
         "                     sampling), stochastic/dynamic oracles and the\n"
         "                     dimacs backend always run per job. A reused row's\n"
         "                     attack_seconds is the first run's; its\n"
-        "                     job_seconds includes the wait for it\n"
+        "                     job_seconds is only its own set-up\n"
         "  --oracle-cache=M   query-memo policy: on | off | auto (default\n"
         "                     auto = memo only defense-instance groups with\n"
         "                     more than one job). The deterministic CSV is\n"
